@@ -1,4 +1,4 @@
-"""Small exact linear algebra helpers: field Gauss, Smith/Hermite forms, signatures.
+"""Small exact linear algebra helpers: field Gauss, Smith/Hermite forms, inertia.
 
 Matrices are tuples of tuples (immutable) or lists of lists (work buffers).
 Field routines are generic over any type supporting +,-,*,/ and == 0
@@ -131,14 +131,6 @@ def rank_field(a, one, zero):
 # rational-specific
 
 
-def signature(gram):
-    """(positive, negative) inertia of a nondegenerate symmetric rational matrix."""
-    pos, neg, null = inertia(gram)
-    if null:
-        raise ValueError("degenerate form")
-    return pos, neg
-
-
 def _sym_eliminate(a, idx, n):
     d = a[idx][idx]
     for r in range(idx + 1, n):
@@ -154,11 +146,8 @@ def _sym_eliminate(a, idx, n):
 
 
 def inertia(gram):
-    """(positive, negative, zero) counts for a symmetric rational matrix.
-
-    Proper congruence diagonalization; replaces signature() above for
-    callers needing exactness on degenerate forms too.
-    """
+    """(positive, negative, zero) counts for a symmetric rational matrix,
+    by proper congruence diagonalization; exact on degenerate forms too."""
     n = len(gram)
     a = [[qq(x) for x in row] for row in gram]
     zero = qq(0)

@@ -8,7 +8,7 @@ eagerly and expose ``numerator``/``denominator``, which is all the rest of
 the code relies on.
 
 Set ``MODULIQ_BACKEND=fractions`` to force the pure-Python implementation
-(``benchmarks/bench_backends.py`` times the two side by side).
+(``python3 perfbench/backends.py`` runs the benchmark once per backend).
 """
 
 import math

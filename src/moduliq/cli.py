@@ -3,17 +3,22 @@
 Output is a human-readable table by default or a deterministic JSON record
 {command, inputs, outputs, provenance} with --json; exact rationals print
 as p/q and the cube root of unity prints as w.  Exit codes: 0 on success,
-2 when a verification subcommand finds its assertions violated, 1 on usage
-errors.
+2 when a verification subcommand prints a value that misses its entry in
+``certified``, 1 on malformed input (one ``error:`` line on stderr).
+
+Every subcommand is one row of COMMANDS: its arguments, a function from the
+parsed arguments to (inputs, outputs, provenance), and the certified values
+its outputs must meet.  ``run`` does the rest for every row.
 """
 
 import argparse
 import json
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from ._rational import fmt_q, qq
-from . import borcherds, kirwan, ledger, luna, modforms
+from . import borcherds, certified, kirwan, ledger, luna, modforms
 from .lattices import (
     build_standard,
     classify_disc_elements,
@@ -21,7 +26,7 @@ from .lattices import (
     pairing_census,
 )
 
-__all__ = ["CommandResult", "main", "run"]
+__all__ = ["COMMANDS", "CommandResult", "main", "run"]
 
 
 @dataclass
@@ -72,338 +77,302 @@ def _jsonable(value):
     return str(value)
 
 
-def _parse_coset(text):
-    if text is None:
-        return None
+# ---------------------------------------------------------------------------
+# arguments: each input is parsed and checked once, before its row runs
+
+
+def _arg(flag, parse=None, **options):
+    """An argparse option; parse (text -> value, ValueError if malformed)
+    converts it before the row runs."""
+    return flag, parse, options
+
+
+def _rational(text):
+    try:
+        return qq(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational number: {text!r}") from None
+
+
+def _ints(text):
     return tuple(int(x) for x in text.split(","))
 
 
-def _parse_label(text):
-    a, b = text.split(",")
-    return (int(a), int(b))
+def _prec(default):
+    return _arg("--prec", _rational, default=default)
+
+
+def _lattice(**options):
+    return _arg("--lattice", build_standard, **options)
+
+
+def _echo(a, *names) -> dict:
+    """The named inputs as given on the command line, before parsing."""
+    return {name: a.given[name] for name in names}
+
+
+def _components(form) -> dict:
+    return {label: str(s) for label, s in sorted(form.components.items())}
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (CommandResult, exit_code)
+# certified values: the printed output must equal a plain value; a test is
+# called with the printed output and the whole outputs record
 
 
-def _cmd_lattice(args):
-    lat = build_standard(args.name)
-    disc = discriminant_group(lat)
-    outputs = {
-        "rank": lat.rank,
-        "det": fmt_q(lat.det()),
-        "even": lat.is_even(),
-        "signature": lat.signature(),
-        "invariant_factors": list(disc.invariant_factors),
-        "census": classify_disc_elements(lat),
-    }
-    if args.pairing_table:
-        table = pairing_census(lat)
-        outputs["pairing_table"] = {
-            f"{u}|{v}": list(m) for (u, v), m in sorted(table.items())
-        }
-    return CommandResult("lattice", {"name": args.name}, outputs, []), 0
+def _at_least(bound):
+    return lambda value, outputs: value >= bound
 
 
-def _cmd_theta(args):
-    lat = build_standard(args.lattice)
-    series = modforms.theta_series(lat, _parse_coset(args.coset), qq(args.prec))
-    out = {"series": str(series)}
-    return (
-        CommandResult(
-            "theta",
-            {"lattice": args.lattice, "coset": args.coset, "prec": args.prec},
-            out,
-            [f"theta expansion of {args.lattice}"],
+def _count(n):
+    return lambda value, outputs: len(value) == n
+
+
+def _includes(fields):
+    return lambda value, outputs: any(fields.items() <= item.items() for item in value)
+
+
+def _meets(outputs, key, want) -> bool:
+    return want(outputs[key], outputs) if callable(want) else outputs[key] == want
+
+
+# ---------------------------------------------------------------------------
+# the subcommands
+
+
+@dataclass(frozen=True)
+class Command:
+    name: str
+    help: str
+    fn: Callable  # parsed args -> (inputs, outputs, provenance)
+    args: tuple = ()
+    certified: Callable = None  # parsed args -> {output key: value or test}
+
+
+BORCHERDS_INPUTS = {
+    "ma": borcherds.ma_input,
+    "delta": borcherds.delta_inverse_form,
+    "e4delta": borcherds.e4_over_delta_form,
+}
+BETTI_TABLES = {
+    "MK": kirwan.kirwan_blowup_table,
+    "tor": kirwan.toroidal_table,
+    "boundary": lambda: kirwan.invariant_product_cohomology(4),
+    "IH_BB": lambda: kirwan.REFERENCE_TABLES["IH_BB"],
+}
+MA_DIVISOR = borcherds.HeegnerCombo.make(
+    {(label, qq(norm)): mult for (label, norm), mult in certified.MA_DIVISOR.items()}
+)
+
+COMMANDS = (
+    Command(
+        "lattice", "invariants of a named lattice",
+        args=(
+            _arg("--name", build_standard, required=True),
+            _arg("--pairing-table", action="store_true"),
         ),
-        0,
-    )
-
-
-def _cmd_weil(args):
-    lat = build_standard(args.lattice)
-    rep = modforms.weil_rep(lat, dual=args.dual)
-    sym = rep.symmetrized()
-    outputs = {
-        "labels": list(sym.labels),
-        "T": [[str(x) for x in row] for row in sym.mat_t],
-        "S": [[str(x) for x in row] for row in sym.mat_s],
-    }
-    return (
-        CommandResult(
-            "weil",
-            {"lattice": args.lattice, "dual": args.dual},
-            outputs,
-            ["symmetrized Weil representation matrices"],
+        fn=lambda a: (_echo(a, "name"), {
+            "rank": a.name.rank,
+            "det": fmt_q(a.name.det()),
+            "even": a.name.is_even(),
+            "signature": a.name.signature(),
+            "invariant_factors": list(discriminant_group(a.name).invariant_factors),
+            "census": classify_disc_elements(a.name),
+            **({"pairing_table": {
+                f"{u}|{v}": list(m) for (u, v), m in sorted(pairing_census(a.name).items())
+            }} if a.pairing_table else {}),
+        }, []),
+    ),
+    Command(
+        "theta", "coset theta series",
+        args=(
+            _lattice(required=True),
+            _arg("--coset", _ints, default=None, help="comma list, e.g. 1 or 1,2"),
+            _prec("3"),
         ),
-        0,
-    )
-
-
-def _cmd_dimension(args):
-    lat = build_standard(args.lattice)
-    rep = modforms.weil_rep(lat, dual=True).symmetrized()
-    report = modforms.vvmf_dimension_report(qq(args.weight), rep)
-    outputs = {
-        "total": report.total,
-        "eisenstein": report.eisenstein,
-        "cusp": report.cusp,
-        "alphas": [fmt_q(a) for a in report.alphas],
-    }
-    return (
-        CommandResult(
-            "dimension",
-            {"weight": args.weight, "lattice": args.lattice},
-            outputs,
-            ["obstruction-space dimension (4 = 2 Eisenstein + 2 cusp)"],
+        fn=lambda a: (
+            _echo(a, "lattice", "coset", "prec"),
+            {"series": str(modforms.theta_series(a.lattice, a.coset, a.prec))},
+            [f"theta expansion of {a.given['lattice']}"],
         ),
-        0,
-    )
-
-
-def _cmd_eisenstein(args):
-    series = modforms.eisenstein_level3(args.weight, _parse_label(args.label), qq(args.prec))
-    return (
-        CommandResult(
-            "eisenstein",
-            {"weight": args.weight, "label": args.label, "prec": args.prec},
-            {"series": str(series)},
+    ),
+    Command(
+        "weil", "symmetrized Weil representation matrices",
+        args=(_lattice(default="L_dm"), _arg("--dual", action="store_true")),
+        fn=lambda a: (_echo(a, "lattice", "dual"), {
+            "labels": list(
+                (sym := modforms.weil_rep(a.lattice, dual=a.dual).symmetrized()).labels
+            ),
+            "T": [[str(x) for x in row] for row in sym.mat_t],
+            "S": [[str(x) for x in row] for row in sym.mat_s],
+        }, ["symmetrized Weil representation matrices"]),
+    ),
+    Command(
+        "dimension", "vector-valued dimension formula",
+        args=(_arg("--weight", type=int, default=10), _lattice(default="L_dm")),
+        fn=lambda a: (_echo(a, "weight", "lattice"), {
+            "total": (report := modforms.vvmf_dimension_report(
+                qq(a.weight), modforms.weil_rep(a.lattice, dual=True).symmetrized()
+            )).total,
+            "eisenstein": report.eisenstein,
+            "cusp": report.cusp,
+            "alphas": [fmt_q(x) for x in report.alphas],
+        }, ["obstruction-space dimension (4 = 2 Eisenstein + 2 cusp)"]),
+    ),
+    Command(
+        "eisenstein", "normalized level-3 Eisenstein series",
+        args=(
+            _arg("--weight", type=int, required=True, choices=(2, 6, 10)),
+            _arg("--label", _ints, required=True, help="a1,a2 in Z/3 x Z/3"),
+            _prec("2"),
+        ),
+        fn=lambda a: (
+            _echo(a, "weight", "label", "prec"),
+            {"series": str(modforms.eisenstein_level3(a.weight, a.label, a.prec))},
             ["normalized level-3 Eisenstein expansion"],
         ),
-        0,
-    )
-
-
-def _cmd_obstruction(args):
-    prec = qq(args.prec)
-    eis = modforms.obstruction_eisenstein(prec)
-    case_a, case_b = modforms.obstruction_cusp_basis(prec)
-    outputs = {}
-    for name, form in (("eisenstein", eis), ("cusp_eta8", case_a), ("cusp_eta16", case_b)):
-        outputs[name] = {label: str(series) for label, series in sorted(form.components.items())}
-    return (
-        CommandResult(
-            "obstruction",
-            {"prec": args.prec},
-            outputs,
-            ["weight-10 obstruction basis"],
-        ),
-        0,
-    )
-
-
-def _cmd_borcherds(args):
-    prec = qq(args.prec)
-    forms = {
-        "ma": borcherds.ma_input,
-        "delta": borcherds.delta_inverse_form,
-        "e4delta": borcherds.e4_over_delta_form,
-    }
-    form = forms[args.input](prec)
-    weight, divisor = borcherds.lift_weight_divisor(form)
-    outputs = {
-        "components": {label: str(s) for label, s in sorted(form.components.items())},
-        "weight": fmt_q(weight),
-        "divisor": str(divisor),
-    }
-    code = 0
-    if args.input == "ma":
-        combo = borcherds.HeegnerCombo.make(
-            {("00", qq(-2)): 1, ("4/3", qq(-2, 3)): 27, ("2/3", qq(-4, 3)): 3}
-        )
-        cert = borcherds.product_existence(combo)
-        outputs["certificate"] = {
-            "exists": cert.exists,
-            "weight": fmt_q(cert.weight) if cert.exists else None,
-        }
-        if not cert.exists or cert.weight != weight:
-            code = 2
-    return (
-        CommandResult(
-            "borcherds",
-            {"input": args.input, "prec": args.prec},
-            outputs,
-            ["product weight and divisor via lift and pairing routes"],
-        ),
-        code,
-    )
-
-
-def _cmd_quasi_pullback(args):
-    lat = build_standard(args.lattice)
-    weight, divisor = borcherds.quasi_pullback(lat)
-    return (
-        CommandResult(
-            "quasi-pullback",
-            {"lattice": args.lattice},
-            {"weight": fmt_q(weight), "divisor": str(divisor)},
-            ["quasi-pullback weight = 12 + positive roots"],
-        ),
-        0,
-    )
-
-
-def _cmd_ma_input(args):
-    form = borcherds.ma_input(qq(args.prec))
-    return (
-        CommandResult(
-            "ma-input",
-            {"prec": args.prec},
-            {label: str(s) for label, s in sorted(form.components.items())},
+    ),
+    Command(
+        "obstruction", "weight-10 obstruction basis",
+        args=(_prec("2"),),
+        fn=lambda a: (_echo(a, "prec"), {
+            name: _components(form) for name, form in zip(
+                ("eisenstein", "cusp_eta8", "cusp_eta16"),
+                (
+                    modforms.obstruction_eisenstein(a.prec),
+                    *modforms.obstruction_cusp_basis(a.prec),
+                ),
+            )
+        }, ["weight-10 obstruction basis"]),
+    ),
+    Command(
+        "borcherds", "lift weight/divisor and certificate",
+        args=(_arg("--input", choices=tuple(BORCHERDS_INPUTS), default="ma"), _prec("2")),
+        fn=lambda a: (_echo(a, "input", "prec"), {
+            "components": _components(form := BORCHERDS_INPUTS[a.input](a.prec)),
+            "weight": fmt_q((lift := borcherds.lift_weight_divisor(form))[0]),
+            "divisor": str(lift[1]),
+            **({"certificate": {
+                "exists": (cert := borcherds.product_existence(MA_DIVISOR)).exists,
+                "weight": fmt_q(cert.weight) if cert.exists else None,
+            }} if a.input == "ma" else {}),
+        }, ["product weight and divisor via lift and pairing routes"]),
+        # computed cross-check: the pairing route reproduces the lift's weight
+        certified=lambda a: {
+            "certificate": lambda cert, out: cert == {"exists": True, "weight": out["weight"]}
+        } if a.input == "ma" else {},
+    ),
+    Command(
+        "quasi-pullback", "quasi-pullback weight and divisor",
+        args=(_lattice(required=True),),
+        fn=lambda a: (_echo(a, "lattice"), {
+            "weight": fmt_q((qp := borcherds.quasi_pullback(a.lattice))[0]),
+            "divisor": str(qp[1]),
+        }, ["quasi-pullback weight = 12 + positive roots"]),
+    ),
+    Command(
+        "ma-input", "the theta*theta/Delta input tuple",
+        args=(_prec("2"),),
+        fn=lambda a: (
+            _echo(a, "prec"),
+            _components(borcherds.ma_input(a.prec)),
             ["theta * theta / Delta input tuple"],
         ),
-        0,
-    )
-
-
-def _cmd_kirwan(args):
-    strata = kirwan.kirwan_strata(12)
-    outputs = {
-        "weights": kirwan.binary_form_weights(12),
-        "min_2d_beta": strata.min_double_codim,
-        "equivariant_series": str(kirwan.equivariant_series_ss(12, 10)),
-        "main_correction": str(kirwan.correction_main(10)),
-        "extra_term_bound": kirwan.correction_extra_bound(
-            [w for w in kirwan.binary_form_weights(12) if w not in (0, 2, -2)],
-            [2, -2, 4, -4, 6, -6, 8, -8, 10, -10],
+    ),
+    Command(
+        "kirwan", "equivariant series and corrections",
+        fn=lambda a: ({}, {
+            "weights": (weights := kirwan.binary_form_weights(12)),
+            "min_2d_beta": kirwan.kirwan_strata(12).min_double_codim,
+            "equivariant_series": str(series := kirwan.equivariant_series_ss(12, 10)),
+            "main_correction": str(main := kirwan.correction_main(10)),
+            "extra_term_bound": kirwan.correction_extra_bound(
+                [w for w in weights if w not in (0, 2, -2)], [2, -2, 4, -4, 6, -6, 8, -8, 10, -10]
+            ),
+            "blowup_series": str(series + main),
+        }, ["equivariant series and correction terms"]),
+        certified=lambda a: {
+            "min_2d_beta": _at_least(certified.MIN_DOUBLE_CODIM),
+            "extra_term_bound": _at_least(certified.EXTRA_TERM_BOUND),
+        },
+    ),
+    Command(
+        "betti", "Betti tables",
+        args=(_arg("--space", choices=tuple(BETTI_TABLES), required=True),),
+        fn=lambda a: (
+            _echo(a, "space"),
+            {"table": list(BETTI_TABLES[a.space]().even())},
+            [kirwan.REFERENCE_CITATIONS.get(a.space, f"Betti table of {a.space}")],
         ),
-        "blowup_series": str(
-            kirwan.equivariant_series_ss(12, 10) + kirwan.correction_main(10)
-        ),
-    }
-    code = 0 if strata.min_double_codim >= 10 and outputs["extra_term_bound"] >= 5 else 2
-    return (
-        CommandResult(
-            "kirwan", {}, outputs, ["equivariant series and correction terms"]
-        ),
-        code,
-    )
-
-
-def _cmd_betti(args):
-    tables = {
-        "MK": kirwan.kirwan_blowup_table,
-        "tor": kirwan.toroidal_table,
-        "boundary": lambda: kirwan.invariant_product_cohomology(4),
-        "IH_BB": lambda: kirwan.REFERENCE_TABLES["IH_BB"],
-    }
-    table = tables[args.space]()
-    provenance = []
-    if args.space == "IH_BB":
-        provenance.append(kirwan.REFERENCE_CITATIONS["IH_BB"])
-    return (
-        CommandResult(
-            "betti",
-            {"space": args.space},
-            {"table": list(table.even())},
-            provenance or [f"Betti table of {args.space}"],
-        ),
-        0,
-    )
-
-
-def _cmd_ledger(args):
-    report = ledger.consistency_report(ledger.section4_relations())
-    outputs = {
-        "kirwan_exceptional_coefficient": fmt_q(ledger.kirwan_exceptional_coefficient()),
-        "discriminant_coefficient": fmt_q(
-            ledger.solve_unknown(ledger.hassett_keel_relations("discriminant"))
-        ),
-        "pullback_multiplicity": fmt_q(
-            ledger.solve_unknown(ledger.hassett_keel_relations("pullback"))
-        ),
-        "normal_bundle": [fmt_q(x) for x in ledger.normal_bundle_bidegree()],
-        "discrepancy": fmt_q(ledger.kirwan_discrepancy()),
-        "conflicts": list(report.conflicts),
-        "repairs": [
-            {"relation": r[0], "class": r[1], "side": r[2], "value": fmt_q(r[3])}
-            for r in report.repairs
-        ],
-    }
-    expected = (
-        outputs["kirwan_exceptional_coefficient"] == "4"
-        and outputs["discrepancy"] == "2/3"
-        and len(report.conflicts) == 1
-        and any(r[1] == "T" and r[3] == qq(-16) for r in report.repairs)
-    )
-    return (
-        CommandResult(
-            "ledger", {}, outputs, ["canonical-bundle ledger and its single conflict"]
-        ),
-        0 if expected else 2,
-    )
-
-
-def _cmd_t9(args):
-    value = ledger.top_intersection_T9()
-    return (
-        CommandResult(
-            "t9",
-            {},
-            {
-                "T9": fmt_q(value),
-                "component_count": 462,
-                "top_coefficient": 70,
-            },
-            ["top self-intersection 7/103680 of the toroidal boundary"],
-        ),
-        0,
-    )
-
-
-def _cmd_kequiv(args):
-    report = ledger.k_equiv_obstruction()
-    outputs = {
-        "required_delta9": fmt_q(report.delta9_required),
-        "valuation_at_3": report.valuation_at_3,
-        "contradiction": report.contradiction,
-    }
-    return (
-        CommandResult(
-            "kequiv", {}, outputs, ["3-adic obstruction to K-equivalence"]
-        ),
-        0 if report.contradiction and report.valuation_at_3 == -22 else 2,
-    )
-
-
-def _cmd_luna(args):
-    disc = luna.sextic_discriminant()
-    order = luna.disc12_vanishing_order()
-    outputs = {
-        "sextic_terms": len(disc),
-        "epsilon5_coefficient": disc.terms[(0, 0, 0, 0, 5)],
-        "total_degrees": disc.total_degrees(),
-        "isobaric_weight": disc.weighted_degrees((2, 3, 4, 5, 6)),
-        "disc12_order": order["order"],
-        "direction": [fmt_q(x) for x in order["direction"]],
-    }
-    good = (
-        outputs["epsilon5_coefficient"] == -46656
-        and outputs["isobaric_weight"] == [30]
-        and outputs["disc12_order"] == 10
-    )
-    return (
-        CommandResult(
-            "luna", {}, outputs, ["slice discriminant certificates"]
-        ),
-        0 if good else 2,
-    )
-
-
-def _cmd_fixtures(args):
-    outputs = {}
-    for name, table in kirwan.REFERENCE_TABLES.items():
-        outputs[name] = {
-            "table": list(table.even()),
-            "citation": kirwan.REFERENCE_CITATIONS[name],
-        }
-    return (
-        CommandResult(
-            "fixtures", {}, outputs, sorted(kirwan.REFERENCE_CITATIONS.values())
-        ),
-        0,
-    )
+    ),
+    Command(
+        "ledger", "canonical-bundle ledger (verification)",
+        fn=lambda a: ({}, {
+            "kirwan_exceptional_coefficient": fmt_q(ledger.kirwan_exceptional_coefficient()),
+            "discriminant_coefficient": fmt_q(
+                ledger.solve_unknown(ledger.hassett_keel_relations("discriminant"))
+            ),
+            "pullback_multiplicity": fmt_q(
+                ledger.solve_unknown(ledger.hassett_keel_relations("pullback"))
+            ),
+            "normal_bundle": [fmt_q(x) for x in ledger.normal_bundle_bidegree()],
+            "discrepancy": fmt_q(ledger.kirwan_discrepancy()),
+            "conflicts": list(
+                (report := ledger.consistency_report(ledger.section4_relations())).conflicts
+            ),
+            "repairs": [
+                {"relation": r[0], "class": r[1], "side": r[2], "value": fmt_q(r[3])}
+                for r in report.repairs
+            ],
+        }, ["canonical-bundle ledger and its single conflict"]),
+        certified=lambda a: {
+            "kirwan_exceptional_coefficient": certified.KIRWAN_EXCEPTIONAL,
+            "discrepancy": certified.DISCREPANCY,
+            "conflicts": _count(certified.LEDGER_CONFLICTS),
+            "repairs": _includes(certified.LEDGER_REPAIR),
+        },
+    ),
+    Command(
+        "t9", "top self-intersection of the boundary",
+        fn=lambda a: ({}, {
+            "T9": fmt_q(ledger.top_intersection_T9()),
+            "component_count": (factors := ledger.top_intersection_factors())[0],
+            "top_coefficient": factors[1],
+        }, ["top self-intersection 7/103680 of the toroidal boundary"]),
+    ),
+    Command(
+        "kequiv", "3-adic K-equivalence obstruction (verification)",
+        fn=lambda a: ({}, {
+            "required_delta9": fmt_q((report := ledger.k_equiv_obstruction()).delta9_required),
+            "valuation_at_3": report.valuation_at_3,
+            "contradiction": report.contradiction,
+        }, ["3-adic obstruction to K-equivalence"]),
+        certified=lambda a: {"valuation_at_3": certified.VALUATION_AT_3, "contradiction": True},
+    ),
+    Command(
+        "luna", "slice discriminant certificates (verification)",
+        fn=lambda a: ({}, {
+            "sextic_terms": len(disc := luna.sextic_discriminant()),
+            "epsilon5_coefficient": disc.terms[(0, 0, 0, 0, 5)],
+            "total_degrees": disc.total_degrees(),
+            "isobaric_weight": disc.weighted_degrees(luna.SEXTIC_WEIGHTS),
+            "disc12_order": (order := luna.disc12_vanishing_order())["order"],
+            "direction": [fmt_q(x) for x in order["direction"]],
+        }, ["slice discriminant certificates"]),
+        certified=lambda a: {
+            "epsilon5_coefficient": certified.SEXTIC_EPSILON5,
+            "isobaric_weight": [certified.SEXTIC_ISOBARIC_WEIGHT],
+            "disc12_order": certified.DISC12_ORDER,
+        },
+    ),
+    Command(
+        "fixtures", "cited reference tables",
+        fn=lambda a: ({}, {
+            name: {"table": list(table.even()), "citation": kirwan.REFERENCE_CITATIONS[name]}
+            for name, table in kirwan.REFERENCE_TABLES.items()
+        }, sorted(kirwan.REFERENCE_CITATIONS.values())),
+    ),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -415,77 +384,29 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--out", metavar="FILE", help="write the JSON record to FILE")
     sub = parser.add_subparsers(dest="subcommand", parser_class=argparse.ArgumentParser)
-
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    p = add_parser("lattice", help="invariants of a named lattice")
-    p.add_argument("--name", required=True)
-    p.add_argument("--pairing-table", action="store_true")
-    p.set_defaults(func=_cmd_lattice)
-
-    p = add_parser("theta", help="coset theta series")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--coset", default=None, help="comma list, e.g. 1 or 1,2")
-    p.add_argument("--prec", default="3")
-    p.set_defaults(func=_cmd_theta)
-
-    p = add_parser("weil", help="symmetrized Weil representation matrices")
-    p.add_argument("--lattice", default="L_dm")
-    p.add_argument("--dual", action="store_true")
-    p.set_defaults(func=_cmd_weil)
-
-    p = add_parser("dimension", help="vector-valued dimension formula")
-    p.add_argument("--weight", type=int, default=10)
-    p.add_argument("--lattice", default="L_dm")
-    p.set_defaults(func=_cmd_dimension)
-
-    p = add_parser("eisenstein", help="normalized level-3 Eisenstein series")
-    p.add_argument("--weight", type=int, required=True, choices=(2, 6, 10))
-    p.add_argument("--label", required=True, help="a1,a2 in Z/3 x Z/3")
-    p.add_argument("--prec", default="2")
-    p.set_defaults(func=_cmd_eisenstein)
-
-    p = add_parser("obstruction", help="weight-10 obstruction basis")
-    p.add_argument("--prec", default="2")
-    p.set_defaults(func=_cmd_obstruction)
-
-    p = add_parser("borcherds", help="lift weight/divisor and certificate")
-    p.add_argument("--input", choices=("ma", "delta", "e4delta"), default="ma")
-    p.add_argument("--prec", default="2")
-    p.set_defaults(func=_cmd_borcherds)
-
-    p = add_parser("quasi-pullback", help="quasi-pullback weight and divisor")
-    p.add_argument("--lattice", required=True)
-    p.set_defaults(func=_cmd_quasi_pullback)
-
-    p = add_parser("ma-input", help="the theta*theta/Delta input tuple")
-    p.add_argument("--prec", default="2")
-    p.set_defaults(func=_cmd_ma_input)
-
-    p = add_parser("kirwan", help="equivariant series and corrections")
-    p.set_defaults(func=_cmd_kirwan)
-
-    p = add_parser("betti", help="Betti tables")
-    p.add_argument("--space", choices=("MK", "tor", "boundary", "IH_BB"), required=True)
-    p.set_defaults(func=_cmd_betti)
-
-    p = add_parser("ledger", help="canonical-bundle ledger (verification)")
-    p.set_defaults(func=_cmd_ledger)
-
-    p = add_parser("t9", help="top self-intersection of the boundary")
-    p.set_defaults(func=_cmd_t9)
-
-    p = add_parser("kequiv", help="3-adic K-equivalence obstruction (verification)")
-    p.set_defaults(func=_cmd_kequiv)
-
-    p = add_parser("luna", help="slice discriminant certificates (verification)")
-    p.set_defaults(func=_cmd_luna)
-
-    p = add_parser("fixtures", help="cited reference tables")
-    p.set_defaults(func=_cmd_fixtures)
-
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, parents=[common], help=cmd.help)
+        for flag, _parse, options in cmd.args:
+            p.add_argument(flag, **options)
+        p.set_defaults(command=cmd)
     return parser
+
+
+def _execute(cmd: Command, args):
+    """Parse the row's inputs, run it, and list the certified values it misses."""
+    args.given = dict(vars(args))
+    for flag, parse, _options in cmd.args:
+        dest = flag[2:].replace("-", "_")
+        if parse and args.given[dest] is not None:
+            try:
+                setattr(args, dest, parse(args.given[dest]))
+            except ValueError as exc:
+                raise ValueError(f"argument {flag}: {exc}") from None
+    inputs, outputs, provenance = cmd.fn(args)
+    result = CommandResult(cmd.name, _jsonable(inputs), _jsonable(outputs), provenance)
+    wanted = cmd.certified(args) if cmd.certified else {}
+    missed = [key for key, want in wanted.items() if not _meets(result.outputs, key, want)]
+    return result, missed
 
 
 def run(argv):
@@ -495,24 +416,26 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return None, 1 if exc.code else 0
-    if not getattr(args, "func", None):
+    cmd = getattr(args, "command", None)
+    if cmd is None:
         parser.print_help()
         return None, 1
     try:
-        result, code = args.func(args)
-    except (ValueError, KeyError) as exc:
+        result, missed = _execute(cmd, args)
+    except (ValueError, KeyError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 1
-    result.inputs = _jsonable(result.inputs)
-    result.outputs = _jsonable(result.outputs)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(result.as_json() + "\n")
-    if getattr(args, "json", False):
-        print(result.as_json())
-    else:
-        print(result.as_text())
-    return result, code
+    for key in missed:
+        print(f"certified value missed: {key} = {result.outputs[key]}", file=sys.stderr)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="ascii") as fh:
+                fh.write(result.as_json() + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return None, 1
+    print(result.as_json() if args.json else result.as_text())
+    return result, 2 if missed else 0
 
 
 def main() -> int:

@@ -9,6 +9,7 @@ form b (valued in Q/Z) are evaluable on every element.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,9 +58,10 @@ class Lattice:
         return all(num(self.gram[i][i]) % 2 == 0 for i in range(self.rank))
 
     def signature(self):
-        if self.rank == 0:
-            return (0, 0)
-        return _linalg.signature(self.gram)
+        pos, neg, null = _linalg.inertia(self.gram)
+        if null:
+            raise ValueError("degenerate form")
+        return pos, neg
 
     def is_negative_definite(self) -> bool:
         return self.signature() == (0, self.rank)
@@ -266,10 +268,6 @@ def discriminant_group(lattice: Lattice) -> DiscGroup:
     return group
 
 
-def _q_label(qval) -> str:
-    return fmt_q(qval)
-
-
 def classify_disc_elements(lattice: Lattice) -> dict:
     """Census of A_M by q-value: '00' for 0, '0' for nonzero isotropic, else q."""
     disc = discriminant_group(lattice)
@@ -286,7 +284,7 @@ def element_type(disc: DiscGroup, el) -> str:
     if all(a == 0 for a in el):
         return "00"
     qv = disc.q(el)
-    return "0" if qv == 0 else _q_label(qv)
+    return "0" if qv == 0 else fmt_q(qv)
 
 
 def elements_by_type(lattice: Lattice) -> dict:
@@ -429,11 +427,7 @@ def overlattice(lattice: Lattice, glue_vectors) -> Lattice:
     # basis via Hermite form of the scaled generator stack
     rows = [[qq(1) if i == j else qq(0) for j in range(n)] for i in range(n)]
     rows += [[qq(x) for x in v] for v in glue_vectors]
-    lcm = 1
-    for row in rows:
-        for x in row:
-            d = den(x)
-            lcm = lcm * d // _gcd(lcm, d)
+    lcm = math.lcm(*(den(x) for row in rows for x in row))
     scaled = [[as_int(x * lcm) for x in row] for row in rows]
     basis = _linalg.hermite_row_basis(scaled, n)
     if len(basis) != n:
@@ -446,12 +440,6 @@ def overlattice(lattice: Lattice, glue_vectors) -> Lattice:
     h = len(subgroup)
     assert abs(as_int(out.det())) * h * h == abs(as_int(lattice.det()))
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +489,7 @@ def _element_order(disc: DiscGroup, el) -> int:
     order = 1
     for a, d in zip(el, disc.invariant_factors):
         if a:
-            k = d // _gcd(d, a)
-            order = order * k // _gcd(order, k)
+            order = math.lcm(order, d // math.gcd(d, a))
     return order
 
 

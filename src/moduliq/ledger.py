@@ -43,6 +43,7 @@ __all__ = [
     "section4_relations",
     "solve_unknown",
     "top_intersection_T9",
+    "top_intersection_factors",
     "vital_coefficient",
 ]
 
@@ -506,12 +507,17 @@ def section4_relations() -> RelationSet:
     return RelationSet.make(rels, independent=("L", "T"))
 
 
+def top_intersection_factors():
+    """(component count, top coefficient) = ((1/2) binom(12,6), binom(8,4))
+    = (462, 70): the boundary components and each one's top intersection."""
+    return math.comb(12, 6) // 2, math.comb(8, 4)
+
+
 def top_intersection_T9():
     """Top self-intersection of the toroidal boundary:
     binom(8,4) * (1/2) binom(12,6) / 12! = 7/103680."""
-    components = qq(math.comb(12, 6), 2)
-    per_component = qq(math.comb(8, 4))
-    return per_component * components / math.factorial(12)
+    components, per_component = top_intersection_factors()
+    return qq(per_component * components) / math.factorial(12)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,11 @@ elimination over Z[t] is exact and fast.
 import math
 from functools import lru_cache
 
+from . import certified
 from ._rational import as_int, den, qq
 
 __all__ = [
+    "SEXTIC_WEIGHTS",
     "MultiPoly",
     "disc12_vanishing_order",
     "sextic_discriminant",
@@ -308,13 +310,17 @@ def _sylvester_matrix(f_coeffs, g_coeffs, nvars):
     return rows
 
 
+SEXTIC_WEIGHTS = (2, 3, 4, 5, 6)  # of the coefficients a, b, c, d, e
+
+
 @lru_cache(maxsize=1)
 def sextic_discriminant() -> MultiPoly:
     """Discriminant of x^6 + a x^4 + b x^3 + c x^2 + d x + e as -Res(f, f').
 
-    Asserted on construction: the unique total-degree-5 monomial is e^5 with
-    coefficient -46656, every other monomial has total degree >= 6, and the
-    polynomial is isobaric of weight 30 for the weights (2, 3, 4, 5, 6).
+    Asserted on construction against the certified values: the unique
+    total-degree-5 monomial is e^5 with coefficient -46656, every other
+    monomial has total degree >= 6, and the polynomial is isobaric of
+    weight 30 for SEXTIC_WEIGHTS.
     """
     nv = 5
     one = MultiPoly.const(nv, 1)
@@ -334,10 +340,11 @@ def sextic_discriminant() -> MultiPoly:
     disc = -res
     degree5 = [ex for ex in disc.terms if sum(ex) == 5]
     assert degree5 == [(0, 0, 0, 0, 5)], "unexpected degree-5 terms"
-    assert disc.terms[(0, 0, 0, 0, 5)] == -46656
+    assert disc.terms[(0, 0, 0, 0, 5)] == certified.SEXTIC_EPSILON5
     assert min(disc.total_degrees()) == 5
     assert all(t >= 6 for t in disc.total_degrees() if t != 5)
-    assert disc.weighted_degrees((2, 3, 4, 5, 6)) == [30], "not isobaric of weight 30"
+    isobaric = [certified.SEXTIC_ISOBARIC_WEIGHT]
+    assert disc.weighted_degrees(SEXTIC_WEIGHTS) == isobaric, "not isobaric"
     return disc
 
 
@@ -349,12 +356,8 @@ def univariate_resultant(p, q):
     """
     p = [qq(x) for x in p]
     q = [qq(x) for x in q]
-    scale_p = 1
-    for x in p:
-        scale_p = scale_p * den(x) // math.gcd(scale_p, den(x))
-    scale_q = 1
-    for x in q:
-        scale_q = scale_q * den(x) // math.gcd(scale_q, den(x))
+    scale_p = math.lcm(*(den(x) for x in p))
+    scale_q = math.lcm(*(den(x) for x in q))
     pi = [as_int(x * scale_p) for x in p]
     qi = [as_int(x * scale_q) for x in q]
     m = len(p) - 1
@@ -400,9 +403,7 @@ def disc12_vanishing_order(direction=None, seed=20240801):
         direction = tuple(next(gen) for _ in SLICE_MONOMIALS)
     direction = tuple(qq(x) for x in direction)
     # scale to integers; rescaling t does not change the vanishing order
-    lcm = 1
-    for x in direction:
-        lcm = lcm * den(x) // math.gcd(lcm, den(x))
+    lcm = math.lcm(*(den(x) for x in direction))
     coeff_ints = [as_int(x * lcm) for x in direction]
     # coefficient of x0^a x1^b in f_t, as an integer polynomial in t
     coeffs = {}

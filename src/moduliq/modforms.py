@@ -20,15 +20,10 @@ from functools import lru_cache
 
 from . import _linalg
 from ._rational import as_int, den, is_integer, mod_q, qq
-from .lattices import (
-    Lattice,
-    build_standard,
-    discriminant_group,
-    elements_by_type,
-)
+from .lattices import Lattice, discriminant_group, elements_by_type
 from .qseries import QSeries, eta_power
 from .scalars import CYC_ONE, CYC_ZERO, CycNum, cyc, omega_pow, root_of_unity_6
-from .shortvec import count_coset_vectors
+from .shortvec import _resolve_coset, count_coset_vectors
 
 __all__ = [
     "DimensionReport",
@@ -41,7 +36,6 @@ __all__ = [
     "obstruction_cusp_basis",
     "obstruction_eisenstein",
     "theta_series",
-    "vvmf_dimension",
     "vvmf_dimension_report",
     "weil_rep",
 ]
@@ -62,8 +56,7 @@ def theta_series(lattice: Lattice, coset, prec) -> QSeries:
     """
     prec = qq(prec)
     disc = discriminant_group(lattice)
-    el = disc.zero() if (coset is None or coset == 0) else tuple(coset)
-    el = tuple(a % d for a, d in zip(el, disc.invariant_factors))
+    el = _resolve_coset(disc, coset)
     qval = disc.q(el)
     # exponents run over -q/2 + Z, starting at the least non-negative one
     e0 = mod_q(-qval / 2, qq(1))
@@ -266,7 +259,7 @@ def vvmf_dimension_report(k, rep: MatrixRep) -> DimensionReport:
     a1 = _alpha_invariant(_scale_matrix(rep.mat_s, i_pow_k))
     st = _linalg.mat_mul(s, t, zero)
     # e^(k pi i / 3) is a sixth root of unity, exactly representable
-    phase = _sixth_root(kk)
+    phase = root_of_unity_6(kk)
     scaled = _scale_matrix(tuple(tuple(r) for r in st), phase)
     inv = _linalg.mat_inverse([list(r) for r in scaled], one, zero)
     a2 = _alpha_invariant(tuple(tuple(r) for r in inv))
@@ -280,16 +273,6 @@ def vvmf_dimension_report(k, rep: MatrixRep) -> DimensionReport:
     ]
     eis = n - _linalg.rank_field(stacked, one, zero)
     return DimensionReport(total, eis, total - eis, (a1, a2, a3), d)
-
-
-def _sixth_root(k: int) -> CycNum:
-    """exp(k pi i / 3) as an element of Q(w)."""
-    return root_of_unity_6(k)
-
-
-def vvmf_dimension(k, rep: MatrixRep):
-    report = vvmf_dimension_report(k, rep)
-    return report.total, report.eisenstein
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +357,6 @@ class VVForm:
                 if mod_q(e, qq(1)) != want:
                     return False
         return True
-
-
-def _ldm():
-    return build_standard("L_dm")
 
 
 def obstruction_eisenstein(prec) -> VVForm:

@@ -19,10 +19,6 @@ class PrecisionError(ValueError):
     pass
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 @dataclass(frozen=True)
 class QSeries:
     n_den: int       # exponent grid q^(k / n_den)
@@ -92,9 +88,6 @@ class QSeries:
                 break
         return CYC_ZERO
 
-    def rational_coeff(self, exponent):
-        return self.coeff(exponent).rational()
-
     def _regrid(self, n_den: int) -> dict:
         f = n_den // self.n_den
         return {k * f: c for k, c in self.terms}
@@ -104,7 +97,7 @@ class QSeries:
     def __add__(self, other):
         if not isinstance(other, QSeries):
             other = QSeries.monomial(other, 0, self.trunc)
-        n = _lcm(self.n_den, other.n_den)
+        n = math.lcm(self.n_den, other.n_den)
         a = self._regrid(n)
         for k, c in other._regrid(n).items():
             a[k] = a.get(k, CYC_ZERO) + c
@@ -134,7 +127,7 @@ class QSeries:
     def __mul__(self, other):
         if not isinstance(other, QSeries):
             return self.scale(other)
-        n = _lcm(self.n_den, other.n_den)
+        n = math.lcm(self.n_den, other.n_den)
         a = self._regrid(n)
         b = other._regrid(n)
         trunc = min(
@@ -156,7 +149,7 @@ class QSeries:
     def shift(self, exponent) -> "QSeries":
         """Multiply by q^exponent."""
         e = qq(exponent)
-        n = _lcm(self.n_den, den(e))
+        n = math.lcm(self.n_den, den(e))
         k0 = as_int(e * n)
         return QSeries(
             n,
@@ -212,7 +205,7 @@ class QSeries:
 
     def agrees_with(self, other: "QSeries") -> bool:
         bound = min(self.trunc, other.trunc)
-        n = _lcm(self.n_den, other.n_den)
+        n = math.lcm(self.n_den, other.n_den)
         a = {k: c for k, c in self._regrid(n).items() if qq(k, n) < bound}
         b = {k: c for k, c in other._regrid(n).items() if qq(k, n) < bound}
         return a == b
@@ -250,10 +243,6 @@ class QSeries:
     __repr__ = __str__
 
 
-def _binomial(n: int, k: int) -> int:
-    return math.comb(n, k)
-
-
 def eta_power(m: int, prec) -> QSeries:
     """q^(m/24) * prod_{n>0} (1 - q^n)^m, truncated at prec."""
     if m < 1:
@@ -269,7 +258,7 @@ def eta_power(m: int, prec) -> QSeries:
         factor = {}
         j = 0
         while qq(n * j) < rel:
-            factor[n * j] = cyc((-1) ** j * _binomial(m, j))
+            factor[n * j] = cyc((-1) ** j * math.comb(m, j))
             j += 1
             if j > m:
                 break

@@ -1,9 +1,9 @@
 """Exact counting of dual-coset vectors of prescribed norm in definite lattices.
 
 The enumeration runs on the negated (positive definite) Gram with an exact
-rational UDU^T decomposition; floating point is used only to bracket loop
-ranges, and every candidate is accepted or rejected by an exact rational
-test.
+rational UDU^T decomposition; loop ranges are bracketed by an exact integer
+floor square root, and every candidate is accepted or rejected by an exact
+rational test.  No floating point is used.
 """
 
 from dataclasses import dataclass

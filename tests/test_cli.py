@@ -95,3 +95,122 @@ def test_quasi_pullback_subcommand(capsys):
     result, code, _ = _capture(capsys, ["quasi-pullback", "--lattice", "E8"])
     assert code == 0
     assert result.outputs["weight"] == "132"
+
+
+def _usage_error(capsys, argv):
+    """Exit 1, nothing on stdout, and one 'error:' line on stderr."""
+    result, code = run(argv)
+    captured = capsys.readouterr()
+    assert (result, code, captured.out) == (None, 1, "")
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert "Traceback" not in captured.err
+    return lines[0]
+
+
+def test_coset_of_wrong_length_is_rejected(capsys):
+    # E6 has one invariant factor; (1, 2) used to be truncated to (1,)
+    _usage_error(capsys, ["theta", "--lattice", "E6", "--coset", "1,2", "--prec", "3"])
+
+
+def test_prec_must_be_rational(capsys):
+    for argv in (
+        ["theta", "--lattice", "E6", "--coset", "1", "--prec", "1/0"],
+        ["eisenstein", "--weight", "6", "--label", "1,0", "--prec", "x"],
+        ["obstruction", "--prec", "1/0"],
+        ["borcherds", "--prec", "2/0"],
+        ["ma-input", "--prec", "one"],
+    ):
+        line = _usage_error(capsys, argv)
+        assert "--prec" in line
+
+
+def test_prec_below_the_series_start(capsys):
+    # 1/Delta starts at q^-1: below it there is no series to invert
+    for argv in (["borcherds", "--input", "delta", "--prec", "-3"], ["ma-input", "--prec", "-5"]):
+        _usage_error(capsys, argv)
+
+
+def test_prec_is_echoed_as_given(capsys):
+    result, code, _ = _capture(capsys, ["theta", "--lattice", "A2", "--prec", "3/2"])
+    assert code == 0
+    assert result.inputs["prec"] == "3/2"
+
+
+def test_unwritable_out_file(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "t9.json"
+    line = _usage_error(capsys, ["t9", "--out", str(target)])
+    assert str(target) in line
+
+
+# Exit code 2: each verification subcommand still prints its record when a
+# value it reads from the library misses the paper's certified value.
+
+
+def _certificate_fails(capsys, argv):
+    result, code = run(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["outputs"] == result.outputs
+    assert "certified value missed" in captured.err
+    return result
+
+
+def test_kequiv_exit_2(monkeypatch, capsys):
+    from moduliq import ledger, qq
+
+    report = ledger.KEquivalenceReport(qq(1, 3**21), -21, True)
+    monkeypatch.setattr(ledger, "k_equiv_obstruction", lambda: report)
+    result = _certificate_fails(capsys, ["kequiv"])
+    assert result.outputs["valuation_at_3"] == -21
+
+
+def test_ledger_exit_2(monkeypatch, capsys):
+    from moduliq import ledger, qq
+
+    monkeypatch.setattr(ledger, "kirwan_discrepancy", lambda: qq(1, 3))
+    result = _certificate_fails(capsys, ["ledger"])
+    assert result.outputs["discrepancy"] == "1/3"
+
+
+def test_ledger_exit_2_without_the_repair(monkeypatch, capsys):
+    from moduliq import ledger
+
+    real = ledger.consistency_report
+
+    def unrepaired(rels):
+        report = real(rels)
+        return ledger.ConsistencyReport(False, report.conflicts, report.residuals, ())
+
+    monkeypatch.setattr(ledger, "consistency_report", unrepaired)
+    result = _certificate_fails(capsys, ["ledger"])
+    assert result.outputs["repairs"] == []
+
+
+def test_luna_exit_2(monkeypatch, capsys):
+    from moduliq import luna
+
+    monkeypatch.setattr(
+        luna, "disc12_vanishing_order", lambda: {"order": 9, "direction": (1,) * 10, "degree": 20}
+    )
+    result = _certificate_fails(capsys, ["luna"])
+    assert result.outputs["disc12_order"] == 9
+
+
+def test_kirwan_exit_2(monkeypatch, capsys):
+    from moduliq import kirwan
+
+    monkeypatch.setattr(kirwan, "correction_extra_bound", lambda weights, betas: 4)
+    result = _certificate_fails(capsys, ["kirwan"])
+    assert result.outputs["extra_term_bound"] == 4
+
+
+def test_borcherds_exit_2(monkeypatch, capsys):
+    from moduliq import borcherds, qq
+
+    monkeypatch.setattr(
+        borcherds, "product_existence", lambda combo: borcherds.ProductCertificate(True, qq(50), ())
+    )
+    result = _certificate_fails(capsys, ["borcherds", "--input", "ma"])
+    assert result.outputs["certificate"] == {"exists": True, "weight": "50"}
+    assert result.outputs["weight"] == "51"

@@ -10,7 +10,6 @@ from moduliq.modforms import (
     obstruction_cusp_basis,
     obstruction_eisenstein,
     theta_series,
-    vvmf_dimension,
     vvmf_dimension_report,
     weil_rep,
 )
@@ -125,9 +124,8 @@ def test_dimension_formula():
     assert report.cusp == 2
     assert report.alphas == (qq(1), qq(4, 3), qq(1))
     assert report.d == 4
-    assert vvmf_dimension(10, rep) == (4, 2)
     with pytest.raises(ValueError):
-        vvmf_dimension(2, rep)
+        vvmf_dimension_report(2, rep)
 
 
 def test_bernoulli_numbers():
@@ -239,3 +237,8 @@ def test_obstruction_tuples_satisfy_s_law_numerically():
                 smat[j][i] * values[j] for j in range(4)
             )
             assert abs(values[i] - transformed) <= 1e-6 * scale
+
+
+def test_theta_rejects_coset_of_wrong_length():
+    with pytest.raises(ValueError):
+        theta_series(build_standard("E6"), (1, 2), 3)
