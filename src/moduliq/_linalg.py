@@ -1,4 +1,5 @@
-"""Small exact linear algebra helpers: field Gauss, Smith/Hermite forms, inertia.
+"""Small exact linear algebra helpers: field Gauss, one symmetric elimination
+(LDL^T, read by ``inertia`` and the short-vector walk), Smith/Hermite forms.
 
 Matrices are tuples of tuples (immutable) or lists of lists (work buffers).
 Field routines are generic over any type supporting +,-,*,/ and == 0
@@ -6,7 +7,7 @@ comparison through the supplied zero/one samples, so they serve both the
 rational backend and Q(w).
 """
 
-from ._rational import as_int, qq
+from ._rational import qq
 
 # ---------------------------------------------------------------------------
 # generic field routines
@@ -131,71 +132,65 @@ def rank_field(a, one, zero):
 # rational-specific
 
 
-def _sym_eliminate(a, idx, n):
-    d = a[idx][idx]
-    for r in range(idx + 1, n):
-        if a[r][idx] != 0:
-            f = a[r][idx] / d
-            for c in range(idx, n):
-                a[r][c] = a[r][c] - f * a[idx][c]
-    for c in range(idx + 1, n):
-        if a[idx][c] != 0:
-            f = a[idx][c] / d
-            for r in range(idx, n):
-                a[r][c] = a[r][c] - f * a[r][idx]
+def ldl(gram):
+    """(D, U) with gram = U^T diag(D) U, U unit upper triangular (a list of rows).
+
+    The one symmetric elimination: ``inertia`` reads the signs of D and the
+    short-vector walk reads D and U.  A zero pivot with a nonzero row is first
+    made nonzero by the congruence e_i -> e_i +- e_j, so the signs of D give
+    the inertia of any symmetric form, degenerate or indefinite; when every
+    pivot is positive no such step was taken and the factorization is exact.
+    """
+    n = len(gram)
+    a = [[qq(x) for x in row] for row in gram]
+    d, u = [], []
+    for i in range(n):
+        if a[i][i] == 0:
+            j = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+            if j is not None:
+                # the new pivot is 2 s a_ij + a_jj, nonzero for one sign s
+                s = 1 if 2 * a[i][j] + a[j][j] != 0 else -1
+                for c in range(i, n):
+                    a[i][c] = a[i][c] + s * a[j][c]
+                for r in range(i, n):
+                    a[r][i] = a[r][i] + s * a[r][j]
+        p = a[i][i]
+        row = [qq(0)] * i + [qq(1)] + [a[i][c] / p if p else qq(0) for c in range(i + 1, n)]
+        for r in range(i + 1, n):
+            for c in range(r, n):
+                a[r][c] = a[r][c] - row[r] * a[i][c]
+                a[c][r] = a[r][c]
+        d.append(p)
+        u.append(row)
+    return d, u
 
 
 def inertia(gram):
     """(positive, negative, zero) counts for a symmetric rational matrix,
-    by proper congruence diagonalization; exact on degenerate forms too."""
-    n = len(gram)
-    a = [[qq(x) for x in row] for row in gram]
-    zero = qq(0)
-    pos = neg = 0
-    for idx in range(n):
-        if a[idx][idx] == zero:
-            j = next(
-                (j for j in range(idx + 1, n) if a[idx][j] != zero or a[j][idx] != zero),
-                None,
-            )
-            if j is None:
-                continue
-            for c in range(n):
-                a[idx][c] = a[idx][c] + a[j][c]
-            for r in range(n):
-                a[r][idx] = a[r][idx] + a[r][j]
-        if a[idx][idx] == zero:
-            continue
-        if a[idx][idx] > 0:
-            pos += 1
-        else:
-            neg += 1
-        _sym_eliminate(a, idx, n)
-    return pos, neg, n - pos - neg
+    from the signs of the ``ldl`` pivots; exact on degenerate forms too."""
+    d, _u = ldl(gram)
+    pos = sum(1 for p in d if p > 0)
+    neg = sum(1 for p in d if p < 0)
+    return pos, neg, len(d) - pos - neg
 
 
 # ---------------------------------------------------------------------------
 # integer routines
 
 
-def int_mat_inverse(u):
-    """Inverse of a unimodular integer matrix, returned with int entries."""
-    n = len(u)
-    inv = mat_inverse([[qq(x) for x in row] for row in u], qq(1), qq(0))
-    return [[as_int(x) for x in row] for row in inv]
+def smith_normal_form(a, mod):
+    """(S, V) with U*A*V = S diagonal, d1 | d2 | ..., for some unimodular U.
 
-
-def smith_normal_form(a):
-    """(S, U, V) with U*A*V = S diagonal, d1 | d2 | ..., U and V unimodular."""
+    Only V is kept, reduced mod ``mod``: a multiple of every invariant factor
+    (|det A| for a nonsingular square A), so V S^-1 is still exact mod 1.
+    """
     a = [[int(x) for x in row] for row in a]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -205,13 +200,12 @@ def smith_normal_form(a):
 
     def add_row(dst, src, f):
         a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
 
     def add_col(dst, src, f):
         for row in a:
             row[dst] += f * row[src]
         for row in v:
-            row[dst] += f * row[src]
+            row[dst] = (row[dst] + f * row[src]) % mod
 
     t = 0
     while t < min(m, n):
@@ -256,9 +250,8 @@ def smith_normal_form(a):
                         break
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
-    return a, u, v
+    return a, v
 
 
 def hermite_row_basis(rows, n):

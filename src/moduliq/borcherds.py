@@ -19,7 +19,6 @@ from .shortvec import count_coset_vectors, root_data
 __all__ = [
     "HeegnerCombo",
     "ProductCertificate",
-    "allcock_cube_root_data",
     "ball_divisor",
     "delta_inverse_form",
     "e4_over_delta_form",
@@ -244,10 +243,3 @@ def ball_divisor(combo: HeegnerCombo) -> dict:
         "H_h": 3 * (m2 + m23),
         "H_vt": 3 * m43,
     }
-
-
-def allcock_cube_root_data() -> dict:
-    """Derived data for the cube root of the weight-132 form on the ball:
-    weight 132/3 = 44, vanishing order 3/3 = 1 on the ramification divisor.
-    The existence of the cube root itself is cited theory, not recomputed."""
-    return {"weight": qq(132, 3), "divisor_multiplicity": qq(3, 3)}

@@ -375,15 +375,22 @@ COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input too: one ``error:`` line, exit 1."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="moduliq",
         description="Exact lattice, modular-form, and moduli-ledger computations",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--out", metavar="FILE", help="write the JSON record to FILE")
-    sub = parser.add_subparsers(dest="subcommand", parser_class=argparse.ArgumentParser)
+    sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
     for cmd in COMMANDS:
         p = sub.add_parser(cmd.name, parents=[common], help=cmd.help)
         for flag, _parse, options in cmd.args:

@@ -63,9 +63,6 @@ class Lattice:
             raise ValueError("degenerate form")
         return pos, neg
 
-    def is_negative_definite(self) -> bool:
-        return self.signature() == (0, self.rank)
-
     def dual_gram(self):
         return _linalg.mat_freeze(_linalg.mat_inverse(self.gram, qq(1), qq(0)))
 
@@ -250,19 +247,16 @@ def discriminant_group(lattice: Lattice) -> DiscGroup:
         raise ValueError("degenerate Gram matrix")
     n = lattice.rank
     g_int = [[as_int(x) for x in row] for row in lattice.gram]
-    s, u, _v = _linalg.smith_normal_form(g_int)
-    u_inv = _linalg.int_mat_inverse(u)
-    dual = lattice.dual_gram() if n else ()
+    s, v = _linalg.smith_normal_form(g_int, abs(as_int(d)))
     factors = []
     lifts = []
     for i in range(n):
         di = s[i][i]
         if di > 1:
             factors.append(di)
-            # column i of U^-1 gives the generator in dual-basis coordinates;
-            # convert to lattice coordinates through the dual Gram
-            w = [qq(u_inv[r][i]) for r in range(n)]
-            lifts.append(tuple(_linalg.mat_vec(dual, w, qq(0))))
+            # G^-1 U^-1 = V S^-1 for U G V = S: column i of V over d_i is the
+            # generator in lattice coordinates, taken mod 1
+            lifts.append(tuple(qq(v[r][i] % di, di) for r in range(n)))
     group = DiscGroup(tuple(factors), tuple(lifts), lattice)
     assert group.order == abs(as_int(d))
     return group

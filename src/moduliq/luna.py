@@ -264,25 +264,13 @@ SLICE_MONOMIALS = (
 
 def slice_data() -> dict:
     """Monomials and torus weights of the transverse slice at the double
-    sixfold point, plus the symbolic check that the two stabilizer families
-    fix the center up to scalar."""
+    sixfold point."""
+    # diag(s, 1/s): x0^a x1^b picks up s^(a-b)
     weights = {m: m[0] - m[1] for m in SLICE_MONOMIALS}
-    # diag(s, 1/s): x0^a x1^b picks up s^(a-b); the center has weight 0
-    diag_fixes_center = (6 - 6) == 0
-    # antidiagonal (x0, x1) -> (-s x1, x0/s): x0^a x1^b -> (-1)^a s^(a-b) x0^b x1^a
-    anti_sign = (-1) ** 6
-    anti_weight = 6 - 6
-    anti_image = (6, 6)
     return {
         "monomials": SLICE_MONOMIALS,
         "weights": weights,
         "weight_set": sorted(set(weights.values())),
-        "stabilizer_check": {
-            "diagonal_fixes_center": diag_fixes_center,
-            "antidiagonal_image": anti_image,
-            "antidiagonal_sign": anti_sign,
-            "antidiagonal_weight": anti_weight,
-        },
     }
 
 

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _linalg
-from ._rational import as_int, den, is_integer, mod_q, qq
+from ._rational import as_int, den, floor_q, is_integer, mod_q, qq
 from .lattices import Lattice, discriminant_group, elements_by_type
 from .qseries import QSeries, eta_power
 from .scalars import CYC_ONE, CYC_ZERO, CycNum, cyc, omega_pow, root_of_unity_6
-from .shortvec import _resolve_coset, count_coset_vectors
+from .shortvec import _resolve_coset, coset_norm_counts
 
 __all__ = [
     "DimensionReport",
@@ -55,19 +55,17 @@ def theta_series(lattice: Lattice, coset, prec) -> QSeries:
     grid -q(coset)/2 mod 1.
     """
     prec = qq(prec)
+    if prec <= 0:
+        raise ValueError("theta precision must be positive")
     disc = discriminant_group(lattice)
     el = _resolve_coset(disc, coset)
-    qval = disc.q(el)
-    # exponents run over -q/2 + Z, starting at the least non-negative one
-    e0 = mod_q(-qval / 2, qq(1))
-    coeffs = {}
+    # exponents run over -q/2 + Z, from the least non-negative one e0 to the
+    # last one below prec; one enumeration to that norm gives every term
+    e0 = mod_q(-disc.q(el) / 2, qq(1))
+    last = e0 - floor_q(e0 - prec) - 1
+    counts = coset_norm_counts(lattice, el, -2 * last) if last >= 0 else {}
     n_den = den(e0)
-    e = e0
-    while e < prec:
-        cnt = count_coset_vectors(lattice, el, -2 * e)
-        if cnt:
-            coeffs[as_int(e * n_den)] = cyc(cnt)
-        e = e + 1
+    coeffs = {as_int(-norm / 2 * n_den): cnt for norm, cnt in counts.items()}
     return QSeries.make(n_den, coeffs, prec)
 
 

@@ -1,96 +1,54 @@
-"""Exact counting of dual-coset vectors of prescribed norm in definite lattices.
+"""Exact enumeration of dual-coset vectors in definite lattices (Fincke-Pohst).
 
-The enumeration runs on the negated (positive definite) Gram with an exact
-rational UDU^T decomposition; loop ranges are bracketed by an exact integer
-floor square root, and every candidate is accepted or rejected by an exact
-rational test.  No floating point is used.
+Every entry point walks the coset once.  The negated Gram is split as
+U^T D U by ``_linalg.ldl``, the same elimination that ``inertia`` reads its
+signs from, and one walk visits each coset vector x with bound <= <x, x>:
+single-norm counts and sorted vector lists keep one shell of that ball,
+``coset_norm_counts`` keeps the whole {norm: count} histogram, so a theta
+series to any precision costs one enumeration.  Loop ranges are bracketed by
+an exact integer floor square root and every step is tested in exact
+rationals; no floating point is used.
 """
 
-from dataclasses import dataclass
+from collections import Counter
 from functools import lru_cache
 
-from ._rational import den, floor_sqrt, mod_q, num, qq
+from . import _linalg
+from ._rational import floor_q, floor_sqrt, mod_q, qq
 from .lattices import DiscGroup, Lattice, discriminant_group
 
-__all__ = ["CosetSpec", "count_coset_vectors", "coset_vectors", "root_data"]
+__all__ = ["coset_norm_counts", "count_coset_vectors", "coset_vectors", "root_data"]
 
 
-@dataclass(frozen=True)
-class CosetSpec:
-    lattice: Lattice
-    coset: tuple  # element of A_M in invariant-factor coordinates
-    norm: object  # negative rational, norm = <x, x>
+def _walk(lattice: Lattice, center, bound):
+    """Yield (z, <x, x>) for every integer z with x = z + center and bound <= <x, x>.
 
-    def vectors(self):
-        return coset_vectors(self.lattice, self.coset, self.norm)
-
-    def count(self) -> int:
-        return count_coset_vectors(self.lattice, self.coset, self.norm)
-
-
-def _udu(q):
-    """q = U^T D U with U unit upper triangular, D positive diagonal."""
-    n = len(q)
-    a = [[qq(x) for x in row] for row in q]
-    d = [qq(0)] * n
-    u = [[qq(1) if i == j else qq(0) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise ValueError("form is not positive definite")
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / d[i]
-        for r in range(i + 1, n):
-            for c in range(r, n):
-                a[r][c] = a[r][c] - a[i][r] * a[i][c] / d[i]
-                a[c][r] = a[r][c]
-    return d, u
-
-
-def _int_range_for(d_i, center, budget):
-    """Integers t with d_i * (t + center)^2 <= budget, by exact check."""
-    if budget < 0:
-        return []
-    # |t + center| <= sqrt(budget / d_i); bracket with the exact floor sqrt
-    s = floor_sqrt(budget / d_i)
-    lo_f = -center - s - 1
-    hi_f = -center + s + 1
-    lo = num(lo_f) // den(lo_f)
-    hi = -((-num(hi_f)) // den(hi_f))  # ceil
-    out = []
-    for t in range(lo, hi + 1):
-        step = t + center
-        if d_i * step * step <= budget:
-            out.append(t)
-    return out
-
-
-def _enumerate(q, center, target):
-    """All integer vectors z with (z + center)^T q (z + center) == target."""
-    n = len(q)
-    if n == 0:
-        if target == 0:
-            yield ()
-        return
-    d, u = _udu(q)
-    zero = qq(0)
+    z is one buffer, overwritten between yields: copy it to keep it.
+    """
+    d, u = _linalg.ldl([[-x for x in row] for row in lattice.gram])
+    if any(p <= 0 for p in d):
+        raise ValueError("enumeration needs a negative definite lattice")
+    n = len(d)
     vec = [0] * n
-    # Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 with x = z + center
-    def rec(i, remaining):
+
+    # -<x, x> = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 <= -bound
+    def rec(i, left):
         if i < 0:
-            if remaining == 0:
-                yield tuple(vec)
+            yield vec, bound + left
             return
         shift = center[i]
         for j in range(i + 1, n):
             shift = shift + u[i][j] * (vec[j] + center[j])
-        for t in _int_range_for(d[i], shift, remaining):
+        # |t + shift| <= sqrt(left / d_i) < s + 1
+        s = floor_sqrt(left / d[i])
+        for t in range(-floor_q(shift) - s - 1, floor_q(-shift) + s + 2):
             step = t + shift
-            used = d[i] * step * step
-            vec[i] = t
-            yield from rec(i - 1, remaining - used)
+            rest = left - d[i] * step * step
+            if rest >= 0:
+                vec[i] = t
+                yield from rec(i - 1, rest)
 
-    yield from rec(n - 1, target)
+    yield from rec(n - 1, -bound)
 
 
 def _resolve_coset(disc: DiscGroup, coset):
@@ -102,37 +60,41 @@ def _resolve_coset(disc: DiscGroup, coset):
     return tuple(a % d for a, d in zip(coset, disc.invariant_factors))
 
 
-def _check_spec(lattice: Lattice, coset, norm):
-    if lattice.rank and not lattice.is_negative_definite():
-        raise ValueError("enumeration needs a negative definite lattice")
+def _check_spec(lattice: Lattice, coset, norm, shell=True):
+    """(lift of the coset, norm) after the boundary checks; a shell norm must
+    also match q(coset) mod 2."""
     norm = qq(norm)
     if norm > 0:
         raise ValueError("norm must be non-positive for a negative definite lattice")
     disc = discriminant_group(lattice)
     el = _resolve_coset(disc, coset)
-    if mod_q(norm, qq(2)) != disc.q(el):
+    if shell and mod_q(norm, qq(2)) != disc.q(el):
         raise ValueError("norm does not match q(coset) mod 2")
-    return disc, el, norm
+    return disc.lift(el), norm
 
 
 def coset_vectors(lattice: Lattice, coset, norm):
     """Sorted list of x in M* with x + M = coset and <x, x> = norm."""
-    disc, el, norm = _check_spec(lattice, coset, norm)
-    if lattice.rank == 0:
-        return [()] if norm == 0 else []
-    center = list(disc.lift(el))
-    q = [[-x for x in row] for row in lattice.gram]
-    found = [
+    center, norm = _check_spec(lattice, coset, norm)
+    return sorted(
         tuple(z + c for z, c in zip(zvec, center))
-        for zvec in _enumerate(q, center, -norm)
-    ]
-    found.sort()
-    return found
+        for zvec, m in _walk(lattice, center, norm)
+        if m == norm
+    )
 
 
 def count_coset_vectors(lattice: Lattice, coset, norm) -> int:
     """Exact number of x in M* with x + M = coset and <x, x> = norm."""
-    return len(coset_vectors(lattice, coset, norm))
+    center, norm = _check_spec(lattice, coset, norm)
+    return sum(1 for _z, m in _walk(lattice, center, norm) if m == norm)
+
+
+def coset_norm_counts(lattice: Lattice, coset, bound) -> dict:
+    """{norm: number of x in M* with x + M = coset and <x, x> = norm} over
+    bound <= norm <= 0, norms in decreasing order, from one enumeration."""
+    center, bound = _check_spec(lattice, coset, bound, shell=False)
+    counts = Counter(m for _z, m in _walk(lattice, center, bound))
+    return dict(sorted(counts.items(), reverse=True))
 
 
 @lru_cache(maxsize=None)

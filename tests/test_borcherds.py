@@ -3,7 +3,6 @@ import pytest
 from moduliq import qq
 from moduliq.borcherds import (
     HeegnerCombo,
-    allcock_cube_root_data,
     ball_divisor,
     delta_inverse_form,
     e4_over_delta_form,
@@ -158,9 +157,3 @@ def test_ball_divisor():
         "H_h": qq(0),
         "H_vt": qq(0),
     }
-
-
-def test_allcock_cube_root_data():
-    data = allcock_cube_root_data()
-    assert data["weight"] == 44
-    assert data["divisor_multiplicity"] == 1

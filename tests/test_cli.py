@@ -65,16 +65,14 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_usage_errors(capsys):
-    _, code = run(["no-such-command"])
-    capsys.readouterr()
-    assert code == 1
-    _, code = run(["theta"])  # missing required --lattice
-    capsys.readouterr()
-    assert code == 1
-    _, code = run(["lattice", "--name", "E7"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "error" in err
+    for argv in (
+        ["no-such-command"],
+        ["theta"],  # missing required --lattice
+        ["lattice", "--name"],  # no value
+        ["lattice", "--name", "E7"],
+        ["eisenstein", "--weight", "4", "--label", "1,0"],  # not a choice
+    ):
+        _usage_error(capsys, argv)
 
 
 def test_fixtures_cite_sources(capsys):
@@ -129,6 +127,11 @@ def test_prec_below_the_series_start(capsys):
     # 1/Delta starts at q^-1: below it there is no series to invert
     for argv in (["borcherds", "--input", "delta", "--prec", "-3"], ["ma-input", "--prec", "-5"]):
         _usage_error(capsys, argv)
+
+
+def test_theta_prec_must_be_positive(capsys):
+    for prec in ("0", "-1"):
+        assert "precision" in _usage_error(capsys, ["theta", "--lattice", "E6", "--prec", prec])
 
 
 def test_prec_is_echoed_as_given(capsys):

@@ -3,7 +3,10 @@ import random
 import pytest
 
 from moduliq import qq
+from moduliq._linalg import mat_vec
+from moduliq._rational import is_integer
 from moduliq.lattices import (
+    Lattice,
     analyze_isometry,
     build_standard,
     classify_disc_elements,
@@ -49,6 +52,41 @@ def test_discriminant_groups():
     v = a2.lift(gen)
     assert a2.lattice.inner(v, v) % 2 != 0  # sanity: non-integral value
     assert a2.q(gen) == qq(4, 3)  # -2/3 mod 2
+
+
+def test_discriminant_lifts_are_reduced_generators():
+    for name in ("A1", "A2", "E6", "A2+A1", "A2+A2", "E6+A2", "L_dm"):
+        lat = build_standard(name)
+        disc = discriminant_group(lat)
+        for d, lift in zip(disc.invariant_factors, disc.lifts):
+            assert all(0 <= x < 1 for x in lift)
+            assert all(is_integer(y) for y in mat_vec(lat.gram, lift, qq(0)))
+            orders = [k for k in range(1, d + 1) if all(is_integer(k * x) for x in lift)]
+            assert orders[0] == d
+
+
+def test_discriminant_group_of_a_skewed_e8_basis():
+    # a unimodular change of basis of E8 whose Smith transforms grow to
+    # millions of bits; the group must still come out trivial, quickly
+    gram = [
+        [-12, 2, 1, 0, -1, 0, -21, -3],
+        [2, -16, -1, 9, 11, 7, 2, 0],
+        [1, -1, -2, 1, 1, 0, 5, 0],
+        [0, 9, 1, -6, -6, -4, -2, 0],
+        [-1, 11, 1, -6, -8, -5, 0, 0],
+        [0, 7, 0, -4, -5, -4, 2, 0],
+        [-21, 2, 5, -2, 0, 2, -50, -6],
+        [-3, 0, 0, 0, 0, 0, -6, -2],
+    ]
+    lat = Lattice(tuple(tuple(qq(x) for x in row) for row in gram))
+    assert lat.det() == 1 and lat.signature() == (0, 8)
+    assert discriminant_group(lat).invariant_factors == ()
+
+
+def test_signature_with_a_zero_pivot():
+    # e1 + e2 is isotropic here, so the congruence step must take e1 - e2
+    lat = Lattice(((qq(0), qq(1)), (qq(1), qq(-2))))
+    assert lat.signature() == (1, 1)
 
 
 def test_census():

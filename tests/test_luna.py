@@ -15,10 +15,6 @@ def test_slice_data():
     data = slice_data()
     assert len(data["monomials"]) == 10
     assert data["weight_set"] == [-12, -10, -8, -6, -4, 4, 6, 8, 10, 12]
-    check = data["stabilizer_check"]
-    assert check["diagonal_fixes_center"]
-    assert check["antidiagonal_image"] == (6, 6)
-    assert check["antidiagonal_sign"] == 1
 
 
 def test_sextic_discriminant_shape():

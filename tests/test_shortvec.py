@@ -3,16 +3,18 @@ import random
 
 import pytest
 
-from moduliq import qq
+from moduliq import qq, shortvec
 from moduliq._rational import floor_sqrt, mod_q
 from moduliq.lattices import Lattice, build_standard, discriminant_group
-from moduliq.shortvec import CosetSpec, coset_vectors, count_coset_vectors, root_data
+from moduliq.modforms import theta_series
+from moduliq.scalars import cyc
+from moduliq.shortvec import coset_norm_counts, coset_vectors, count_coset_vectors, root_data
 
 
-def test_coset_spec_wrapper():
-    spec = CosetSpec(build_standard("E6"), (1,), qq(-4, 3))
-    assert spec.count() == 27
-    assert len(spec.vectors()) == 27
+def test_e6_coset_vectors_and_count():
+    e6 = build_standard("E6")
+    assert count_coset_vectors(e6, (1,), qq(-4, 3)) == 27
+    assert len(coset_vectors(e6, (1,), qq(-4, 3))) == 27
 
 
 def brute_count(lattice, coset, norm):
@@ -50,6 +52,27 @@ def test_published_counts():
     assert count_coset_vectors(e6, (2,), qq(-4, 3)) == 27
     assert count_coset_vectors(a2, (1,), qq(-2, 3)) == 3
     assert count_coset_vectors(a2, (2,), qq(-2, 3)) == 3
+
+
+def test_norm_histogram():
+    e6 = build_standard("E6")
+    # the bound need not lie on the norm grid -4/3 + 2Z of the coset
+    assert coset_norm_counts(e6, (1,), -6) == {qq(-4, 3): 27, qq(-10, 3): 216, qq(-16, 3): 459}
+    assert coset_norm_counts(build_standard("A2"), None, -2) == {0: 1, -2: 6}
+    assert coset_norm_counts(e6, (2,), 0) == {}
+    with pytest.raises(ValueError):
+        coset_norm_counts(e6, (1,), 1)
+    with pytest.raises(ValueError):
+        coset_norm_counts(build_standard("U"), None, -2)
+
+
+def test_theta_series_is_one_enumeration(monkeypatch):
+    walks = []
+    walk = shortvec._walk
+    monkeypatch.setattr(shortvec, "_walk", lambda *args: walks.append(args) or walk(*args))
+    theta = theta_series(build_standard("E6"), (1,), 4)
+    assert len(walks) == 1
+    assert [theta.coeff(qq(k, 3)) for k in (2, 5, 8, 11)] == [cyc(n) for n in (27, 216, 459, 1080)]
 
 
 def test_root_data():
@@ -116,6 +139,12 @@ def test_bruteforce_oracle_equivalence():
         for el in rng.sample(cosets, min(3, len(cosets))):
             qval = disc.q(el)
             norm = qval - 2
+            brute = {}
             while norm >= -6:
-                assert count_coset_vectors(lat, el, norm) == brute_count(lat, el, norm)
+                brute[norm] = brute_count(lat, el, norm)
+                assert count_coset_vectors(lat, el, norm) == brute[norm]
                 norm -= 2
+            # the one-pass theta series has the same coefficients
+            theta = theta_series(lat, el, -(norm + 2) / 2 + 1)
+            for n, cnt in brute.items():
+                assert theta.coeff(-n / 2) == cyc(cnt)
