@@ -217,7 +217,8 @@ COMMANDS = (
             "eisenstein": report.eisenstein,
             "cusp": report.cusp,
             "alphas": [fmt_q(x) for x in report.alphas],
-        }, ["obstruction-space dimension (4 = 2 Eisenstein + 2 cusp)"]),
+        }, [f"obstruction-space dimension ({report.total} = {report.eisenstein} Eisenstein"
+            f" + {report.cusp} cusp)"]),
     ),
     Command(
         "eisenstein", "normalized level-3 Eisenstein series",

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from . import _linalg
 from ._rational import qq
 from .lattices import Lattice
-from .scalars import CYC_ONE, CYC_ZERO, SQRT_M3, CycNum, cyc
+from .scalars import CYC_ONE, CYC_ZERO, OMEGA, SQRT_M3, CycNum, cyc
 
 __all__ = [
     "HermLattice",
@@ -103,7 +103,7 @@ def trace_lattice(h: HermLattice) -> Lattice:
     The bilinear form is Tr of the Hermitian form, Tr(a + b*w) = 2a - b.
     """
     n = h.rank
-    omega_powers = (CYC_ONE, CycNum(qq(0), qq(1)))  # 1, w
+    omega_powers = (CYC_ONE, OMEGA)
 
     def tr(z: CycNum):
         return 2 * z.a - z.b
@@ -128,18 +128,7 @@ class ReflectionReport:
     matrix: tuple
 
 
-_UNITS = None
-
-
-def _units():
-    global _UNITS
-    if _UNITS is None:
-        w = CycNum(qq(0), qq(1))
-        _UNITS = []
-        for s in (CYC_ONE, -CYC_ONE):
-            for k in range(3):
-                _UNITS.append(s * w**k)
-    return _UNITS
+_UNITS = tuple(s * OMEGA**k for s in (CYC_ONE, -CYC_ONE) for k in range(3))
 
 
 def unitary_reflection(h: HermLattice, ell, xi) -> ReflectionReport:
@@ -151,7 +140,7 @@ def unitary_reflection(h: HermLattice, ell, xi) -> ReflectionReport:
     form, and its multiplicative order on the ambient space.
     """
     xi = cyc(xi)
-    if xi == CYC_ONE or xi not in _units():
+    if xi == CYC_ONE or xi not in _UNITS:
         raise ValueError("xi must be a unit of Z[w] different from 1")
     ell = tuple(cyc(x) for x in ell)
     if not all(x.is_integral() for x in ell):

@@ -432,11 +432,8 @@ def kirwan_discrepancy():
         "K_blowup": r1.rhs,
         "f_disc": r2.rhs,
     }
-    flat = DivisorExpr.make({})
-    for name, c in resid.coeffs:
-        flat = flat + sub.get(name, DivisorExpr.of(name)).scale_lin(c)
     system = RelationSet.make(
-        [Relation("combined", flat, DivisorExpr.make({}))],
+        [Relation("combined", resid.substitute(sub), DivisorExpr.make({}))],
         independent=("E", "fK", "strict"),
     )
     return solve_unknown(system)

@@ -4,12 +4,16 @@ Every series carries its truncation order; arithmetic propagates the
 jointly-known range, so a coefficient beyond the known range raises instead
 of silently reading zero.  Exponents are stored as integer keys k meaning
 q^(k/N) on a fixed grid N.
+
+Powers, inverses and eta products all come from one recurrence in
+``QSeries.pow``: J.C.P. Miller's power formula (Knuth, TAOCP vol. 2, 4.7).
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
-from ._rational import as_int, den, fmt_q, num, qq
+from ._rational import as_int, den, floor_q, fmt_q, num, qq
 from .scalars import CYC_ONE, CYC_ZERO, CycNum, cyc
 
 __all__ = ["QSeries", "PrecisionError", "eta_power", "delta_series", "inverse_delta"]
@@ -81,11 +85,9 @@ class QSeries:
         if den(scaled) != 1:
             return CYC_ZERO
         k = num(scaled)
-        for kk, c in self.terms:
-            if kk == k:
-                return c
-            if kk > k:
-                break
+        i = bisect.bisect_left(self.terms, k, key=lambda kv: kv[0])
+        if i < len(self.terms) and self.terms[i][0] == k:
+            return self.terms[i][1]
         return CYC_ZERO
 
     def _regrid(self, n_den: int) -> dict:
@@ -128,19 +130,18 @@ class QSeries:
         if not isinstance(other, QSeries):
             return self.scale(other)
         n = math.lcm(self.n_den, other.n_den)
-        a = self._regrid(n)
-        b = other._regrid(n)
+        fa, fb = n // self.n_den, n // other.n_den
         trunc = min(
             self.trunc + other.leading_exponent(),
             other.trunc + self.leading_exponent(),
         )
-        bound = trunc * n
+        limit = -floor_q(-trunc * n)  # keys below limit are known
         out = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                if qq(k) >= bound:
-                    continue
+        for ka, ca in self.terms:
+            for kb, cb in other.terms:
+                k = ka * fa + kb * fb
+                if k >= limit:
+                    break
                 out[k] = out.get(k, CYC_ZERO) + ca * cb
         return QSeries.make(n, out, trunc)
 
@@ -163,38 +164,38 @@ class QSeries:
             raise PrecisionError("cannot extend a truncated series")
         return QSeries.make(self.n_den, dict(self.terms), trunc)
 
-    def pow(self, k: int) -> "QSeries":
-        if k < 0:
-            return self.invert().pow(-k)
-        result = QSeries.one(self.trunc + self.leading_exponent() * max(k - 1, 0))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            if k > 1:
-                base = base * base
-            k >>= 1
-        return result
+    def pow(self, m: int) -> "QSeries":
+        """self^m for every integer m; m <= 0 needs a nonzero series.
+
+        With self = c q^e V and V = 1 + sum_k v_k q^(k/N), W = V^m follows
+        Miller's recurrence W_0 = 1, n W_n = sum_k ((m+1)k - n) v_k W_(n-k),
+        over the nonzero v_k only.  c^m q^(me) W keeps the relative precision
+        of self, so it is known below trunc + (m-1)e.  pow(0) is one(trunc).
+        """
+        if not self.terms:
+            if m <= 0:
+                raise ZeroDivisionError("cannot invert the zero series")
+            return QSeries.zero(m * self.trunc, self.n_den)
+        if m == 0:
+            return QSeries.one(self.trunc)
+        k0, c = self.terms[0]
+        e = qq(k0, self.n_den)
+        v = [(k - k0, ck / c) for k, ck in self.terms[1:]]
+        w = [CYC_ONE]
+        for n in range(1, -floor_q((e - self.trunc) * self.n_den)):  # n/N < trunc - e
+            acc = CYC_ZERO
+            for k, vk in v:
+                if k > n:
+                    break
+                acc = acc + vk * w[n - k] * ((m + 1) * k - n)
+            w.append(acc * qq(1, n))
+        cm = c**m
+        terms = {n + m * k0: cm * wn for n, wn in enumerate(w)}
+        return QSeries.make(self.n_den, terms, self.trunc + (m - 1) * e)
 
     def invert(self) -> "QSeries":
         """Two-sided inverse up to truncation; leading coefficient must be a unit."""
-        lead = self.leading()
-        if lead is None:
-            raise ZeroDivisionError("cannot invert the zero series")
-        e0, c0 = lead
-        rel = self.trunc - e0  # relative precision
-        # u = self / (c0 q^{e0}) - 1 has positive leading exponent
-        u = self.shift(-e0).scale(CYC_ONE / c0) - QSeries.one(rel)
-        acc = QSeries.one(rel)
-        power = QSeries.one(rel)
-        while True:
-            power = power * (-u)
-            if power.trunc > rel:
-                power = power.truncate(rel)
-            if power.leading() is None:
-                break
-            acc = acc + power
-        return acc.scale(CYC_ONE / c0).shift(-e0)
+        return self.pow(-1)
 
     def __truediv__(self, other):
         if isinstance(other, QSeries):
@@ -244,7 +245,9 @@ class QSeries:
 
 
 def eta_power(m: int, prec) -> QSeries:
-    """q^(m/24) * prod_{n>0} (1 - q^n)^m, truncated at prec."""
+    """q^(m/24) * prod_{n>0} (1 - q^n)^m, truncated at prec; the product is
+    the m-th power of Euler's pentagonal series sum_{j in Z} (-1)^j q^(j(3j-1)/2).
+    """
     if m < 1:
         raise ValueError("eta_power needs m >= 1")
     prec = qq(prec)
@@ -252,19 +255,12 @@ def eta_power(m: int, prec) -> QSeries:
     rel = prec - shift
     if rel <= 0:
         return QSeries.zero(prec, 24 // math.gcd(m, 24))
-    out = QSeries.one(rel)
-    n = 1
-    while qq(n) < rel:
-        factor = {}
-        j = 0
-        while qq(n * j) < rel:
-            factor[n * j] = cyc((-1) ** j * math.comb(m, j))
-            j += 1
-            if j > m:
-                break
-        out = out * QSeries.make(1, factor, rel)
-        n += 1
-    return out.shift(shift)
+    pentagonal = {0: 1}
+    j = 1
+    while j * (3 * j - 1) // 2 < rel:
+        pentagonal[j * (3 * j - 1) // 2] = pentagonal[j * (3 * j + 1) // 2] = (-1) ** j
+        j += 1
+    return QSeries.make(1, pentagonal, rel).pow(m).shift(shift)
 
 
 def delta_series(prec) -> QSeries:

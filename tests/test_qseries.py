@@ -1,6 +1,10 @@
+import functools
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moduliq import qq
 from moduliq.qseries import (
@@ -67,12 +71,16 @@ def test_delta_against_convolution_oracle():
         assert d.coeff(k + 1).rational() == oracle[k]
 
 
-def test_eta8_against_convolution_oracle():
+def test_eta_powers_against_convolution_oracle():
     n = 8
-    oracle = product_coeffs(8, n)
-    e = eta_power(8, qq(n) + qq(1, 3))
-    for k in range(n):
-        assert e.coeff(qq(k) + qq(1, 3)).rational() == oracle[k]
+    for m in range(1, 25):
+        oracle = product_coeffs(m, n)
+        shift = qq(m, 24)
+        e = eta_power(m, n + shift)
+        assert e.trunc == n + shift
+        assert e.exponents() == [k + shift for k in range(n) if oracle[k]]
+        for k in range(n):
+            assert e.coeff(k + shift).rational() == oracle[k]
 
 
 def test_eta_leading_exponents():
@@ -106,6 +114,53 @@ def test_pow():
     assert base.pow(3).coeff(2).rational() == 3
     assert base.pow(0).coeff(0).rational() == 1
     assert base.pow(-1).agrees_with(base.invert())
+
+
+@st.composite
+def invertible_series(draw):
+    n_den = draw(st.sampled_from((1, 2, 3)))
+    trunc = draw(st.integers(1, 3))
+    coeff = st.builds(CycNum, st.integers(-4, 4).map(qq), st.integers(-2, 2).map(qq))
+    terms = dict(enumerate(draw(st.lists(coeff, max_size=trunc * n_den))))
+    lead = st.builds(CycNum, st.sampled_from((1, 2, -1, 3)).map(qq), st.integers(0, 2).map(qq))
+    terms[0] = draw(lead)
+    return QSeries.make(n_den, terms, trunc)
+
+
+@settings(derandomize=True, deadline=None)
+@given(invertible_series(), st.integers(-3, 4))
+def test_pow_matches_repeated_products(a, m):
+    p = a.pow(m)
+    if m == 0:
+        assert p == QSeries.one(a.trunc)
+    else:
+        factor = a if m > 0 else a.invert()
+        expected = functools.reduce(operator.mul, [factor] * abs(m))
+        assert p.agrees_with(expected)
+        assert p.trunc == expected.trunc == a.trunc + (m - 1) * a.leading_exponent()
+    product = p * a.pow(-m)
+    assert product.trunc == a.trunc
+    assert product.agrees_with(QSeries.one(a.trunc))
+
+
+def test_pow_keeps_relative_precision():
+    # 1/Delta = q^-1 (1 + 24 q + ...) is known to relative order 6 below q^5,
+    # so its square q^-2 (...) is known below q^4
+    inv = inverse_delta(5)
+    square = inv.pow(2)
+    assert square.trunc == 4
+    assert square.agrees_with(inv * inv)
+    assert (inv * inv).trunc == 4
+    assert inv.pow(-1).agrees_with(delta_series(7))
+    assert inv.pow(-1).trunc == 7
+
+
+def test_pow_of_zero_series():
+    zero = QSeries.zero(qq(1, 2), 2)
+    assert zero.pow(3) == QSeries.zero(qq(3, 2), 2)
+    for m in (0, -1, -2):
+        with pytest.raises(ZeroDivisionError):
+            zero.pow(m)
 
 
 def test_eta_power_product_identity():
