@@ -34,12 +34,13 @@ class QSeries:
     @staticmethod
     def make(n_den: int, coeffs: dict, trunc) -> "QSeries":
         trunc = qq(trunc)
+        limit = -floor_q(-trunc * n_den)  # keys below limit are known
         items = []
         for k, c in coeffs.items():
             c = cyc(c)
             if c.is_zero():
                 continue
-            if qq(k, n_den) >= trunc:
+            if k >= limit:
                 continue
             items.append((k, c))
         items.sort(key=lambda kv: kv[0])

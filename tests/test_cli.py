@@ -1,4 +1,10 @@
+import contextlib
+import io
 import json
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from moduliq.cli import run
 
@@ -217,3 +223,33 @@ def test_borcherds_exit_2(monkeypatch, capsys):
     result = _certificate_fails(capsys, ["borcherds", "--input", "ma"])
     assert result.outputs["certificate"] == {"exists": True, "weight": "50"}
     assert result.outputs["weight"] == "51"
+
+
+_PRECS = st.one_of(
+    st.text(max_size=8),
+    st.from_regex(r"-?[0-9]{1,2}(/-?[0-9]{1,2}|\.[0-9]+)?", fullmatch=True),
+    st.fractions(-2, 6, max_denominator=12).map(str),
+)
+_COSETS = st.one_of(
+    st.text(max_size=8),
+    st.from_regex(r"-?[0-9]{1,3}(,-?[0-9]{1,3})?", fullmatch=True),
+    st.integers(-4, 4).map(str),
+)
+
+
+@settings(max_examples=60)
+@given(_PRECS, _COSETS)
+def test_theta_input_fuzz(prec, coset):
+    try:
+        # the enumeration has no work bound yet, so leave out large precisions
+        assume(Fraction(prec) <= 6)
+    except (ValueError, ZeroDivisionError):
+        pass
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        _result, code = run(["theta", "--lattice", "E6", "--prec", prec, "--coset", coset])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()

@@ -17,6 +17,7 @@ from moduliq.lattices import (
     pairing_census,
     theta1_isometry_matrix,
 )
+from moduliq.modforms import theta_series
 from moduliq.shortvec import count_coset_vectors
 
 
@@ -67,7 +68,8 @@ def test_discriminant_lifts_are_reduced_generators():
 
 def test_discriminant_group_of_a_skewed_e8_basis():
     # a unimodular change of basis of E8 whose Smith transforms grow to
-    # millions of bits; the group must still come out trivial, quickly
+    # millions of bits; the group must still come out trivial, quickly, and
+    # its LDL pivots carry the largest denominators the walk meets
     gram = [
         [-12, 2, 1, 0, -1, 0, -21, -3],
         [2, -16, -1, 9, 11, 7, 2, 0],
@@ -81,6 +83,7 @@ def test_discriminant_group_of_a_skewed_e8_basis():
     lat = Lattice(tuple(tuple(qq(x) for x in row) for row in gram))
     assert lat.det() == 1 and lat.signature() == (0, 8)
     assert discriminant_group(lat).invariant_factors == ()
+    assert str(theta_series(lat, None, 3)) == "1 + 240*q + 2160*q^2"
 
 
 def test_signature_with_a_zero_pivot():

@@ -3,7 +3,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from moduliq import qq
@@ -127,7 +127,6 @@ def invertible_series(draw):
     return QSeries.make(n_den, terms, trunc)
 
 
-@settings(derandomize=True, deadline=None)
 @given(invertible_series(), st.integers(-3, 4))
 def test_pow_matches_repeated_products(a, m):
     p = a.pow(m)

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moduliq import qq, shortvec
 from moduliq._rational import floor_sqrt, mod_q
@@ -60,6 +62,7 @@ def test_norm_histogram():
     assert coset_norm_counts(e6, (1,), -6) == {qq(-4, 3): 27, qq(-10, 3): 216, qq(-16, 3): 459}
     assert coset_norm_counts(build_standard("A2"), None, -2) == {0: 1, -2: 6}
     assert coset_norm_counts(e6, (2,), 0) == {}
+    assert coset_norm_counts(Lattice(()), None, -2) == {0: 1}  # rank 0: the zero vector
     with pytest.raises(ValueError):
         coset_norm_counts(e6, (1,), 1)
     with pytest.raises(ValueError):
@@ -148,3 +151,52 @@ def test_bruteforce_oracle_equivalence():
             theta = theta_series(lat, el, -(norm + 2) / 2 + 1)
             for n, cnt in brute.items():
                 assert theta.coeff(-n / 2) == cyc(cnt)
+
+
+# even negative definite forms whose discriminant groups have order divisible
+# by 5, 7 or 11, so the coset lifts (and, after a shear, the pivots) carry
+# denominators other than 2 and 3
+DEFINITE_BASES = [
+    [[-10]],
+    [[-14]],
+    [[-22]],
+    [[-2, 1], [1, -4]],
+    [[-2, 1], [1, -6]],
+    [[-4, 1], [1, -4]],
+    [[-2, 1], [1, -8]],
+    [[-10, 3], [3, -2]],
+    [[-2, 1, 0], [1, -2, 1], [0, 1, -4]],
+]
+
+
+@st.composite
+def definite_lattices(draw):
+    gram = [row[:] for row in draw(st.sampled_from(DEFINITE_BASES))]
+    n = len(gram)
+    # a few shears e_i -> e_i + s e_j skew a rank-2 basis; rank 3 stays as it
+    # is, since the box search grows fast with the skew
+    for _ in range(draw(st.integers(0, 3)) if n == 2 else 0):
+        i = draw(st.integers(0, 1))
+        s = draw(st.sampled_from((-1, 1)))
+        for c in range(n):
+            gram[i][c] += s * gram[1 - i][c]
+        for r in range(n):
+            gram[r][i] += s * gram[r][1 - i]
+    return Lattice(tuple(tuple(qq(x) for x in row) for row in gram))
+
+
+@settings(max_examples=10)
+@given(definite_lattices())
+def test_walk_against_box_search(lat):
+    disc = discriminant_group(lat)
+    assert any(disc.order % p == 0 for p in (5, 7, 11))
+    for el in disc.elements():
+        counts = coset_norm_counts(lat, el, -6)
+        assert list(counts) == sorted(counts, reverse=True)
+        brute = {}
+        norm = -mod_q(-disc.q(el), qq(2))  # the largest norm of the coset
+        while norm >= -6:
+            brute[norm] = brute_count(lat, el, norm)
+            assert count_coset_vectors(lat, el, norm) == brute[norm]
+            norm -= 2
+        assert counts == {n: c for n, c in brute.items() if c}
