@@ -9,24 +9,38 @@ as p/q and the cube root of unity prints as w.  Exit codes: 0 on success,
 Every subcommand is one row of COMMANDS: its arguments, a function from the
 parsed arguments to (inputs, outputs, provenance), and the certified values
 its outputs must meet.  ``run`` does the rest for every row.
+
+A subcommand imports only the layers it runs: each computation layer is a
+``_Layer`` that imports its module on first use, so ``moduliq t9`` loads the
+ledger and not the lattice enumeration, and ``--help`` loads no layer.
 """
 
 import argparse
+import importlib
 import json
 import sys
 from dataclasses import dataclass
 from typing import Callable
 
 from ._rational import fmt_q, qq
-from . import borcherds, certified, kirwan, ledger, luna, modforms
-from .lattices import (
-    build_standard,
-    classify_disc_elements,
-    discriminant_group,
-    pairing_census,
-)
+from . import certified
 
 __all__ = ["COMMANDS", "CommandResult", "main", "run"]
+
+
+class _Layer:
+    """A computation layer of moduliq, imported on first attribute access."""
+
+    def __init__(self, name):
+        self._name = f"moduliq.{name}"
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+borcherds, kirwan, lattices, ledger, luna, modforms = map(
+    _Layer, ("borcherds", "kirwan", "lattices", "ledger", "luna", "modforms")
+)
 
 
 @dataclass
@@ -98,12 +112,23 @@ def _ints(text):
     return tuple(int(x) for x in text.split(","))
 
 
+def _label(text):
+    label = _ints(text)
+    if len(label) != 2:
+        raise ValueError(f"expected two integers a1,a2, got {len(label)}")
+    return label
+
+
 def _prec(default):
     return _arg("--prec", _rational, default=default)
 
 
+def _standard(text):
+    return lattices.build_standard(text)
+
+
 def _lattice(**options):
-    return _arg("--lattice", build_standard, **options)
+    return _arg("--lattice", _standard, **options)
 
 
 def _echo(a, *names) -> dict:
@@ -150,25 +175,22 @@ class Command:
 
 
 BORCHERDS_INPUTS = {
-    "ma": borcherds.ma_input,
-    "delta": borcherds.delta_inverse_form,
-    "e4delta": borcherds.e4_over_delta_form,
+    "ma": lambda prec: borcherds.ma_input(prec),
+    "delta": lambda prec: borcherds.delta_inverse_form(prec),
+    "e4delta": lambda prec: borcherds.e4_over_delta_form(prec),
 }
 BETTI_TABLES = {
-    "MK": kirwan.kirwan_blowup_table,
-    "tor": kirwan.toroidal_table,
+    "MK": lambda: kirwan.kirwan_blowup_table(),
+    "tor": lambda: kirwan.toroidal_table(),
     "boundary": lambda: kirwan.invariant_product_cohomology(4),
     "IH_BB": lambda: kirwan.REFERENCE_TABLES["IH_BB"],
 }
-MA_DIVISOR = borcherds.HeegnerCombo.make(
-    {(label, qq(norm)): mult for (label, norm), mult in certified.MA_DIVISOR.items()}
-)
 
 COMMANDS = (
     Command(
         "lattice", "invariants of a named lattice",
         args=(
-            _arg("--name", build_standard, required=True),
+            _arg("--name", _standard, required=True),
             _arg("--pairing-table", action="store_true"),
         ),
         fn=lambda a: (_echo(a, "name"), {
@@ -176,10 +198,11 @@ COMMANDS = (
             "det": fmt_q(a.name.det()),
             "even": a.name.is_even(),
             "signature": a.name.signature(),
-            "invariant_factors": list(discriminant_group(a.name).invariant_factors),
-            "census": classify_disc_elements(a.name),
+            "invariant_factors": list(lattices.discriminant_group(a.name).invariant_factors),
+            "census": lattices.classify_disc_elements(a.name),
             **({"pairing_table": {
-                f"{u}|{v}": list(m) for (u, v), m in sorted(pairing_census(a.name).items())
+                f"{u}|{v}": list(m)
+                for (u, v), m in sorted(lattices.pairing_census(a.name).items())
             }} if a.pairing_table else {}),
         }, []),
     ),
@@ -224,7 +247,7 @@ COMMANDS = (
         "eisenstein", "normalized level-3 Eisenstein series",
         args=(
             _arg("--weight", type=int, required=True, choices=(2, 6, 10)),
-            _arg("--label", _ints, required=True, help="a1,a2 in Z/3 x Z/3"),
+            _arg("--label", _label, required=True, help="a1,a2 in Z/3 x Z/3"),
             _prec("2"),
         ),
         fn=lambda a: (
@@ -254,7 +277,10 @@ COMMANDS = (
             "weight": fmt_q((lift := borcherds.lift_weight_divisor(form))[0]),
             "divisor": str(lift[1]),
             **({"certificate": {
-                "exists": (cert := borcherds.product_existence(MA_DIVISOR)).exists,
+                "exists": (cert := borcherds.product_existence(borcherds.HeegnerCombo.make({
+                    (label, qq(norm)): mult
+                    for (label, norm), mult in certified.MA_DIVISOR.items()
+                }))).exists,
                 "weight": fmt_q(cert.weight) if cert.exists else None,
             }} if a.input == "ma" else {}),
         }, ["product weight and divisor via lift and pairing routes"]),

@@ -33,6 +33,7 @@ __all__ = [
 
 CENSUS_LIMIT = 10_000
 ISO_LIMIT = 1_000
+WEIL_LIMIT = 81  # |A_M| for modforms.weil_rep: n x n Q(w) matrices, 81 takes seconds
 
 
 @dataclass(frozen=True)

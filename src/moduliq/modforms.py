@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import _linalg
 from ._rational import as_int, den, floor_q, is_integer, mod_q, qq
-from .lattices import Lattice, discriminant_group, elements_by_type
+from .lattices import WEIL_LIMIT, Lattice, discriminant_group, elements_by_type
 from .qseries import QSeries, eta_power
 from .scalars import CYC_ONE, CYC_ZERO, CycNum, cyc, omega_pow, root_of_unity_6
 from .shortvec import _resolve_coset, coset_norm_counts
@@ -144,10 +144,13 @@ def weil_rep(lattice: Lattice, dual: bool = False) -> WeilRep:
 
     Supported lattices: discriminant group of exponent dividing 3 and square
     order, with (pos - neg)/2 divisible by 4 so the S-matrix scalar is
-    rational; this covers the unimodular lattices and U+U(3)+E8+E8.
+    rational; this covers the unimodular lattices and U+U(3)+E8+E8.  The
+    matrices are |A_M| x |A_M|, so |A_M| above WEIL_LIMIT is refused.
     """
     disc = discriminant_group(lattice)
     order = disc.order
+    if order > WEIL_LIMIT:
+        raise ValueError(f"|A_M| = {order} exceeds WEIL_LIMIT = {WEIL_LIMIT}")
     root = math.isqrt(order)
     if root * root != order:
         raise ValueError("S-matrix scalar lies outside Q(w) (non-square |A_M|)")

@@ -5,10 +5,10 @@ criterion; a pytest failure is the FAIL line for its criterion.
 """
 
 import cmath
-import itertools
 import math
 import random
 
+from box_oracle import box_norm_counts, norm_ladder
 from moduliq import qq
 from moduliq.borcherds import (
     HeegnerCombo,
@@ -262,28 +262,6 @@ def _random_series(rng, invertible=False):
     return QSeries.make(n_den, terms, trunc)
 
 
-def _brute_count(lattice, coset, norm):
-    from moduliq._linalg import mat_inverse
-    from moduliq._rational import floor_sqrt
-
-    disc = discriminant_group(lattice)
-    el = disc.zero() if coset is None else tuple(coset)
-    center = list(disc.lift(el))
-    q = [[-x for x in row] for row in lattice.gram]
-    qinv = mat_inverse(q, qq(1), qq(0))
-    budget = -qq(norm)
-    ranges = []
-    for i in range(lattice.rank):
-        bound = floor_sqrt(budget * qinv[i][i]) + abs(int(center[i])) + 2
-        ranges.append(range(-bound, bound + 1))
-    count = 0
-    for z in itertools.product(*ranges):
-        x = [zz + c for zz, c in zip(z, center)]
-        if lattice.inner(x, x) == qq(norm):
-            count += 1
-    return count
-
-
 def test_criterion_14_property_suites():
     # (a) q-series ring laws and inversion on 100 randomized inputs
     rng = random.Random(5151)
@@ -298,10 +276,10 @@ def test_criterion_14_property_suites():
         lat = build_standard(name)
         disc = discriminant_group(lat)
         for el in disc.elements():
-            norm = disc.q(el) - 2
-            while norm >= -6:
-                assert count_coset_vectors(lat, el, norm) == _brute_count(lat, el, norm)
-                norm -= 2
+            norms = norm_ladder(disc.q(el) - 2, -6)
+            box = box_norm_counts(lat, el, norms[-1])
+            for norm in norms:
+                assert count_coset_vectors(lat, el, norm) == box.get(norm, 0)
     # (c) overlattice determinant law on randomized glue
     rng = random.Random(6006)
     checked = 0

@@ -146,6 +146,21 @@ def test_prec_is_echoed_as_given(capsys):
     assert result.inputs["prec"] == "3/2"
 
 
+def test_label_needs_two_integers(capsys):
+    for label in ("1", "1,2,3"):
+        line = _usage_error(capsys, ["eisenstein", "--weight", "2", "--label", label])
+        assert line.startswith("error: argument --label:"), line
+
+
+def test_weil_work_is_bounded(capsys):
+    # E8(3) has |A_M| = 3^8 = 6561: 6561 x 6561 Q(w) matrices would run for hours
+    for sub in ("weil", "dimension"):
+        assert "WEIL_LIMIT" in _usage_error(capsys, [sub, "--lattice", "E8(3)"])
+    for name in ("L_dm", "E8", "II_2_18", "II_2_26"):
+        for sub in ("weil", "dimension"):
+            assert _capture(capsys, [sub, "--lattice", name])[1] == 0
+
+
 def test_unwritable_out_file(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "t9.json"
     line = _usage_error(capsys, ["t9", "--out", str(target)])

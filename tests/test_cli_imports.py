@@ -1,0 +1,61 @@
+"""Import boundaries of the command line: a subcommand loads only the
+computation layers it runs.  Each check starts a fresh interpreter with
+``PYTHONPATH=src``, runs command lines through ``moduliq.cli.run`` and reads
+``sys.modules`` afterwards."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from moduliq.cli import COMMANDS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# argv: a JSON list of command lines; prints [exit codes, loaded moduliq modules]
+_PROBE = """
+import contextlib, io, json, sys
+import moduliq.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(moduliq.cli.run(argv)[1])
+loaded = sorted(m.removeprefix("moduliq.") for m in sys.modules if m.startswith("moduliq."))
+print(json.dumps([codes, loaded]))
+"""
+
+# what `import moduliq.cli` needs: the frontend, its scalar parser and the table
+# of certified values; every other module of the package is a computation layer
+FRONTEND = {"cli", "_rational", "certified"}
+
+
+def _loaded(*argvs):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    codes, modules = json.loads(proc.stdout)
+    return codes, set(modules)
+
+
+def test_import_loads_no_layer():
+    assert _loaded() == ([], FRONTEND)
+
+
+def test_help_loads_no_layer():
+    argvs = [["--help"]] + [[cmd.name, "--help"] for cmd in COMMANDS]
+    codes, modules = _loaded(*argvs)
+    assert codes == [0] * len(argvs)
+    assert modules == FRONTEND
+
+
+def test_t9_loads_the_ledger_alone():
+    # no lattices, shortvec, qseries, modforms, borcherds, kirwan or luna
+    assert _loaded(["t9"]) == ([0], FRONTEND | {"ledger", "scalars"})
+
+
+def test_luna_loads_the_slice_layer_alone():
+    # none of the lattice or series layers
+    assert _loaded(["luna"]) == ([0], FRONTEND | {"luna"})

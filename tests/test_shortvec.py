@@ -1,12 +1,12 @@
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from box_oracle import box_norm_counts, norm_ladder
 from moduliq import qq, shortvec
-from moduliq._rational import floor_sqrt, mod_q
+from moduliq._rational import mod_q
 from moduliq.lattices import Lattice, build_standard, discriminant_group
 from moduliq.modforms import theta_series
 from moduliq.scalars import cyc
@@ -17,32 +17,6 @@ def test_e6_coset_vectors_and_count():
     e6 = build_standard("E6")
     assert count_coset_vectors(e6, (1,), qq(-4, 3)) == 27
     assert len(coset_vectors(e6, (1,), qq(-4, 3))) == 27
-
-
-def brute_count(lattice, coset, norm):
-    """Box-search oracle, independent of the recursive enumeration."""
-    disc = discriminant_group(lattice)
-    el = disc.zero() if coset is None else tuple(coset)
-    center = list(disc.lift(el))
-    n = lattice.rank
-    q = [[-x for x in row] for row in lattice.gram]
-    from moduliq._linalg import mat_inverse
-
-    qinv = mat_inverse(q, qq(1), qq(0))
-    budget = -qq(norm)
-    count = 0
-    ranges = []
-    for i in range(n):
-        # x_i^2 <= budget * (Q^-1)_ii for x in the ellipsoid
-        bound = floor_sqrt(budget * qinv[i][i]) + 2
-        lo = -bound - abs(int(center[i])) - 2
-        hi = bound + abs(int(center[i])) + 2
-        ranges.append(range(lo, hi + 1))
-    for z in itertools.product(*ranges):
-        x = [zz + c for zz, c in zip(z, center)]
-        if lattice.inner(x, x) == qq(norm):
-            count += 1
-    return count
 
 
 def test_published_counts():
@@ -140,15 +114,13 @@ def test_bruteforce_oracle_equivalence():
         disc = discriminant_group(lat)
         cosets = list(disc.elements())
         for el in rng.sample(cosets, min(3, len(cosets))):
-            qval = disc.q(el)
-            norm = qval - 2
-            brute = {}
-            while norm >= -6:
-                brute[norm] = brute_count(lat, el, norm)
+            norms = norm_ladder(disc.q(el) - 2, -6)
+            box = box_norm_counts(lat, el, norms[-1])
+            brute = {norm: box.get(norm, 0) for norm in norms}
+            for norm in norms:
                 assert count_coset_vectors(lat, el, norm) == brute[norm]
-                norm -= 2
             # the one-pass theta series has the same coefficients
-            theta = theta_series(lat, el, -(norm + 2) / 2 + 1)
+            theta = theta_series(lat, el, 1 - norms[-1] / 2)
             for n, cnt in brute.items():
                 assert theta.coeff(-n / 2) == cyc(cnt)
 
@@ -193,10 +165,9 @@ def test_walk_against_box_search(lat):
     for el in disc.elements():
         counts = coset_norm_counts(lat, el, -6)
         assert list(counts) == sorted(counts, reverse=True)
-        brute = {}
-        norm = -mod_q(-disc.q(el), qq(2))  # the largest norm of the coset
-        while norm >= -6:
-            brute[norm] = brute_count(lat, el, norm)
-            assert count_coset_vectors(lat, el, norm) == brute[norm]
-            norm -= 2
-        assert counts == {n: c for n, c in brute.items() if c}
+        # from the largest norm of the coset down to -6
+        norms = norm_ladder(-mod_q(-disc.q(el), qq(2)), -6)
+        box = box_norm_counts(lat, el, norms[-1])
+        for norm in norms:
+            assert count_coset_vectors(lat, el, norm) == box.get(norm, 0)
+        assert counts == box
