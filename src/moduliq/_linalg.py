@@ -1,5 +1,6 @@
-"""Small exact linear algebra helpers: field Gauss, one symmetric elimination
-(LDL^T, read by ``inertia`` and the short-vector walk), Smith/Hermite forms.
+"""Small exact linear algebra helpers: one field elimination (``_echelon``,
+read by the determinant, rank and inverse), one symmetric elimination (LDL^T,
+read by ``inertia`` and the short-vector walk), Smith/Hermite forms.
 
 Matrices are tuples of tuples (immutable) or lists of lists (work buffers).
 Field routines are generic over any type supporting +,-,*,/ and == 0
@@ -65,67 +66,66 @@ def mat_pow_order(m, one, zero, cap=200):
     return None
 
 
-def mat_inverse(a, one, zero):
-    """Gauss-Jordan inverse over a field; raises on singular input."""
-    n = len(a)
-    work = [list(row) + irow for row, irow in zip(a, mat_identity(n, one, zero))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != zero), None)
+def _echelon(a, one, zero):
+    """Forward elimination over a field: (rows, pivots, sign).
+
+    rows is a row echelon form of a, reached by row swaps and by adding
+    multiples of a pivot row to the rows below it; row i carries its pivot in
+    column pivots[i], and sign is (-1)^(number of swaps).
+    """
+    rows = [list(row) for row in a]
+    n = len(rows)
+    pivots = []
+    sign = 1
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        piv = next((r for r in range(top, n) if rows[r][col] != zero), None)
         if piv is None:
-            raise ValueError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv = one / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != zero:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+            continue
+        if piv != top:
+            rows[top], rows[piv] = rows[piv], rows[top]
+            sign = -sign
+        inv = one / rows[top][col]
+        for r in range(top + 1, n):
+            if rows[r][col] != zero:
+                f = rows[r][col] * inv
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[top])]
+        pivots.append(col)
+        if len(pivots) == n:
+            break
+    return rows, pivots, sign
 
 
 def det_field(a, one, zero):
-    n = len(a)
-    work = [list(row) for row in a]
-    det = one
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != zero), None)
-        if piv is None:
-            return zero
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = one / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != zero:
-                f = work[r][col] * inv
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    # a row echelon form is upper triangular, with a zero last row if singular
+    rows, _pivots, sign = _echelon(a, one, zero)
+    det = one if sign == 1 else -one
+    for i, row in enumerate(rows):
+        det = det * row[i]
     return det
 
 
 def rank_field(a, one, zero):
-    if not a:
-        return 0
-    work = [list(row) for row in a]
-    n, m = len(work), len(work[0])
-    rank = 0
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, n) if work[r][col] != zero), None)
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        inv = one / work[row][col]
-        work[row] = [x * inv for x in work[row]]
-        for r in range(n):
-            if r != row and work[r][col] != zero:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[row])]
-        rank += 1
-        row += 1
-        if row == n:
-            break
-    return rank
+    return len(_echelon(a, one, zero)[1])
+
+
+def mat_inverse(a, one, zero):
+    """Inverse over a field, by elimination on [A | I] and back-substitution;
+    raises on singular input."""
+    n = len(a)
+    rows, pivots, _sign = _echelon(
+        [list(row) + irow for row, irow in zip(a, mat_identity(n, one, zero))], one, zero
+    )
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    for col in reversed(range(n)):
+        inv = one / rows[col][col]
+        rows[col] = [x * inv for x in rows[col]]
+        for r in range(col):
+            if rows[r][col] != zero:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
 
 
 # ---------------------------------------------------------------------------

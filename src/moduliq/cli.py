@@ -19,8 +19,7 @@ import argparse
 import importlib
 import json
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from ._rational import fmt_q, qq
 from . import certified
@@ -43,12 +42,11 @@ borcherds, kirwan, lattices, ledger, luna, modforms = map(
 )
 
 
-@dataclass
-class CommandResult:
-    command: str
-    inputs: dict
-    outputs: dict
-    provenance: list
+class CommandResult(namedtuple("CommandResult", "command inputs outputs provenance")):
+    """One run's record: the subcommand, its echoed inputs, its outputs and
+    the statements they reproduce."""
+
+    __slots__ = ()
 
     def as_json(self) -> str:
         return json.dumps(
@@ -165,13 +163,9 @@ def _meets(outputs, key, want) -> bool:
 # the subcommands
 
 
-@dataclass(frozen=True)
-class Command:
-    name: str
-    help: str
-    fn: Callable  # parsed args -> (inputs, outputs, provenance)
-    args: tuple = ()
-    certified: Callable = None  # parsed args -> {output key: value or test}
+# fn: parsed args -> (inputs, outputs, provenance); args: _arg triples;
+# certified: parsed args -> {output key: value or test}
+Command = namedtuple("Command", "name help fn args certified", defaults=((), None))
 
 
 BORCHERDS_INPUTS = {

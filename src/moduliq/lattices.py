@@ -265,14 +265,7 @@ def discriminant_group(lattice: Lattice) -> DiscGroup:
 
 def classify_disc_elements(lattice: Lattice) -> dict:
     """Census of A_M by q-value: '00' for 0, '0' for nonzero isotropic, else q."""
-    disc = discriminant_group(lattice)
-    if disc.order > CENSUS_LIMIT:
-        raise ValueError("census too large")
-    census = {}
-    for el in disc.elements():
-        label = element_type(disc, el)
-        census[label] = census.get(label, 0) + 1
-    return census
+    return {label: len(els) for label, els in elements_by_type(lattice).items()}
 
 
 def element_type(disc: DiscGroup, el) -> str:
@@ -284,6 +277,8 @@ def element_type(disc: DiscGroup, el) -> str:
 
 def elements_by_type(lattice: Lattice) -> dict:
     disc = discriminant_group(lattice)
+    if disc.order > CENSUS_LIMIT:
+        raise ValueError(f"|A_M| = {disc.order} exceeds CENSUS_LIMIT = {CENSUS_LIMIT}")
     groups = {}
     for el in disc.elements():
         groups.setdefault(element_type(disc, el), []).append(el)
@@ -297,8 +292,6 @@ def pairing_census(lattice: Lattice) -> dict:
     asserted.  Only defined when all pairing values are thirds.
     """
     disc = discriminant_group(lattice)
-    if disc.order > CENSUS_LIMIT:
-        raise ValueError("census too large")
     groups = elements_by_type(lattice)
     thirds = (qq(0), qq(1, 3), qq(2, 3))
     table = {}
@@ -448,7 +441,7 @@ def disc_forms_isomorphic(m1: Lattice, m2: Lattice, flip_sign: bool = False) -> 
     if d1.order != d2.order:
         return False
     if d1.order > ISO_LIMIT:
-        raise ValueError("census too large")
+        raise ValueError(f"|A_M| = {d1.order} exceeds ISO_LIMIT = {ISO_LIMIT}")
     if sorted(d1.invariant_factors) != sorted(d2.invariant_factors):
         return False
 

@@ -278,23 +278,16 @@ def slice_data() -> dict:
 # the versal sextic discriminant
 
 
-def _sylvester_matrix(f_coeffs, g_coeffs, nvars):
-    """Sylvester matrix of two coefficient lists (highest degree first)."""
-    m = len(f_coeffs) - 1
-    n = len(g_coeffs) - 1
-    size = m + n
-    zero = MultiPoly(nvars)
+def _sylvester(f, g, zero):
+    """Sylvester matrix of two coefficient lists (highest degree first), with
+    ``zero`` off the bands."""
+    m, n = len(f) - 1, len(g) - 1
     rows = []
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(f_coeffs):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(g_coeffs):
-            row[i + j] = c
-        rows.append(row)
+    for coeffs, shifts in ((f, n), (g, m)):
+        for i in range(shifts):
+            row = [zero] * (m + n)
+            row[i : i + len(coeffs)] = coeffs
+            rows.append(row)
     return rows
 
 
@@ -324,7 +317,7 @@ def sextic_discriminant() -> MultiPoly:
         MultiPoly.var(nv, 2, 2),
         MultiPoly.var(nv, 3, 1),
     ]
-    res = det_banded_laplace(_sylvester_matrix(f, fp, nv))
+    res = det_banded_laplace(_sylvester(f, fp, zero))
     disc = -res
     degree5 = [ex for ex in disc.terms if sum(ex) == 5]
     assert degree5 == [(0, 0, 0, 0, 5)], "unexpected degree-5 terms"
@@ -348,23 +341,9 @@ def univariate_resultant(p, q):
     scale_q = math.lcm(*(den(x) for x in q))
     pi = [as_int(x * scale_p) for x in p]
     qi = [as_int(x * scale_q) for x in q]
-    m = len(p) - 1
-    n = len(q) - 1
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [[] for _ in range(size)]
-        for j, cint in enumerate(pi):
-            row[i + j] = [cint] if cint else []
-        rows.append(row)
-    for i in range(m):
-        row = [[] for _ in range(size)]
-        for j, cint in enumerate(qi):
-            row[i + j] = [cint] if cint else []
-        rows.append(row)
-    det = det_bareiss_unipoly(rows)
+    det = det_bareiss_unipoly(_sylvester([[c] for c in pi], [[c] for c in qi], []))
     val = qq(det[0]) if det else qq(0)
-    return val / (qq(scale_p) ** n * qq(scale_q) ** m)
+    return val / (qq(scale_p) ** (len(q) - 1) * qq(scale_q) ** (len(p) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +388,7 @@ def disc12_vanishing_order(direction=None, seed=20240801):
         if bexp >= 1:
             k = aexp
             d1[11 - k] = _list_add(d1[11 - k], [bexp * c for c in poly])
-    syl = _binary_sylvester(d0, d1)
-    det = det_bareiss_unipoly(syl)
+    det = det_bareiss_unipoly(_sylvester(d0, d1, []))
     if not det:
         return {"order": math.inf, "direction": direction, "degree": None}
     order = next(i for i, c in enumerate(det) if c)
@@ -424,22 +402,3 @@ def _list_add(p, q):
     while out and not out[-1]:
         out.pop()
     return out
-
-
-def _binary_sylvester(p, q):
-    """Sylvester matrix of two degree-11 binary forms given by their full
-    coefficient lists (length 12, leading coefficient first)."""
-    deg = len(p) - 1
-    size = 2 * deg
-    rows = []
-    for i in range(deg):
-        row = [[] for _ in range(size)]
-        for j, c in enumerate(p):
-            row[i + j] = list(c) if c else []
-        rows.append(row)
-    for i in range(deg):
-        row = [[] for _ in range(size)]
-        for j, c in enumerate(q):
-            row[i + j] = list(c) if c else []
-        rows.append(row)
-    return rows

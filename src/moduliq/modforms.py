@@ -13,7 +13,6 @@ powers times level-3 Eisenstein series; all three live on the four
 type-classes of the discriminant group and are returned as exact q-series.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -183,40 +182,25 @@ def weil_rep(lattice: Lattice, dual: bool = False) -> WeilRep:
 # dimension formula
 
 
-def _matrix_order(m, cap=24):
-    order = _linalg.mat_pow_order([list(r) for r in m], CYC_ONE, CYC_ZERO, cap=cap)
-    if order is None:
-        raise ValueError("matrix order exceeds the supported bound")
-    return order
+def _eigenspace_dim(m, c):
+    """dim ker(M - c), exact in Q(w)."""
+    shifted = [[x - c if j == i else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+    return len(m) - _linalg.rank_field(shifted, CYC_ONE, CYC_ZERO)
 
 
-def _alpha_invariant(m):
-    """Sum of t over eigenvalues e^(2 pi i t), 0 <= t < 1, of a finite-order matrix.
+def _alpha_invariant(m, sign=1):
+    """Sum of t over the eigenvalues e(t), 0 <= t < 1, of M (sign 1) or of
+    M^-1 (sign -1), for M diagonalisable with sixth roots of unity as
+    eigenvalues.
 
-    Multiplicities come from the discrete Fourier transform of the exact
-    trace sequence, evaluated in floating point and rounded with a
-    consistency assertion.
+    The multiplicity of e(j/6) is n - rank(M - e(j/6)), exact in Q(w); those
+    multiplicities sum to n exactly when M is such a matrix.  Inverting M
+    turns each eigenvalue e(t) into e(-t).
     """
-    n = len(m)
-    order = _matrix_order(m)
-    traces = []
-    acc = _linalg.mat_identity(n, CYC_ONE, CYC_ZERO)
-    for _ in range(order):
-        traces.append(sum((acc[i][i] for i in range(n)), CYC_ZERO).to_complex())
-        acc = _linalg.mat_mul(acc, [list(r) for r in m], CYC_ZERO)
-    total = 0
-    alpha = qq(0)
-    for j in range(order):
-        mult_c = sum(
-            traces[k] * cmath.exp(-2j * cmath.pi * j * k / order) for k in range(order)
-        ) / order
-        mult = round(mult_c.real)
-        assert abs(mult_c - mult) < 1e-6, "eigenvalue multiplicity is not integral"
-        if mult:
-            total += mult
-            alpha += mult * qq(j, order)
-    assert total == n, "eigenvalue multiplicities do not sum to the dimension"
-    return alpha
+    mults = [_eigenspace_dim(m, root_of_unity_6(j)) for j in range(6)]
+    if sum(mults) != len(m):
+        raise ValueError("matrix is not diagonalisable with sixth roots of unity as eigenvalues")
+    return sum((mult * qq(sign * j % 6, 6) for j, mult in enumerate(mults)), qq(0))
 
 
 def _scale_matrix(m, scalar):
@@ -236,8 +220,11 @@ def vvmf_dimension_report(k, rep: MatrixRep) -> DimensionReport:
     """Dimension data for modular forms of weight k > 2 under the given rep.
 
     total = d + d k/12 - alpha(i^k S) - alpha((e^(k pi i/3) S T)^(-1)) - alpha(T)
-    where d counts the (-1)^k eigenspace of S^2 (the representation of -1),
-    and the Eisenstein part is cut out of that eigenspace by T x = x.
+    where d counts the (-1)^k eigenspace of S^2 (the representation of -1).
+    The alphas are taken on the whole space, so d must be the whole dimension,
+    as on every ``WeilRep.symmetrized()``; any other rep is refused.  Then
+    i^k S, T (eigenvalues in mu_3) and e^(k pi i/3) S T (with (ST)^3 = S^2)
+    have orders dividing 6.  The Eisenstein part is the T-fixed space.
     """
     k = qq(k)
     if k <= 2:
@@ -246,33 +233,23 @@ def vvmf_dimension_report(k, rep: MatrixRep) -> DimensionReport:
         raise ValueError("only even integral weights stay inside Q(w)")
     kk = as_int(k)
     n = rep.dim
-    zero, one = CYC_ZERO, CYC_ONE
     s = [list(r) for r in rep.mat_s]
-    t = [list(r) for r in rep.mat_t]
-    s2 = _linalg.mat_mul(s, s, zero)
-    # d = dim of the (-1)^k eigenspace of the matrix representing -1
-    want = one if kk % 2 == 0 else -one
-    diff = [
-        [s2[i][j] - (want if i == j else zero) for j in range(n)] for i in range(n)
-    ]
-    d = n - _linalg.rank_field(diff, one, zero)
+    d = _eigenspace_dim(_linalg.mat_mul(s, s, CYC_ZERO), CYC_ONE)  # (-1)^k = 1
+    if d != n:
+        raise ValueError(
+            f"S^2 = (-1)^k holds on {d} of {n} dimensions; the dimension formula"
+            " needs all of them, as on WeilRep.symmetrized()"
+        )
     i_pow_k = cyc((-1) ** (kk // 2 % 2))  # i^k for even k
-    a1 = _alpha_invariant(_scale_matrix(rep.mat_s, i_pow_k))
-    st = _linalg.mat_mul(s, t, zero)
+    a1 = _alpha_invariant(_scale_matrix(s, i_pow_k))
     # e^(k pi i / 3) is a sixth root of unity, exactly representable
-    phase = root_of_unity_6(kk)
-    scaled = _scale_matrix(tuple(tuple(r) for r in st), phase)
-    inv = _linalg.mat_inverse([list(r) for r in scaled], one, zero)
-    a2 = _alpha_invariant(tuple(tuple(r) for r in inv))
+    st = _linalg.mat_mul(s, rep.mat_t, CYC_ZERO)
+    a2 = _alpha_invariant(_scale_matrix(st, root_of_unity_6(kk)), sign=-1)
     a3 = _alpha_invariant(rep.mat_t)
     total_q = d + qq(d) * k / 12 - a1 - a2 - a3
     assert is_integer(total_q), "dimension formula did not produce an integer"
     total = as_int(total_q)
-    # Eisenstein part: T-fixed vectors inside the d-eigenspace
-    stacked = diff + [
-        [t[i][j] - (one if i == j else zero) for j in range(n)] for i in range(n)
-    ]
-    eis = n - _linalg.rank_field(stacked, one, zero)
+    eis = _eigenspace_dim(rep.mat_t, CYC_ONE)
     return DimensionReport(total, eis, total - eis, (a1, a2, a3), d)
 
 

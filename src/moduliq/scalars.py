@@ -104,12 +104,6 @@ class CycNum:
         """True when both coordinates are rational integers (element of Z[w])."""
         return den(self.a) == 1 and den(self.b) == 1
 
-    def to_complex(self) -> complex:
-        w = complex(-0.5, math.sqrt(3) / 2)
-        return float(num(self.a)) / float(den(self.a)) + w * (
-            float(num(self.b)) / float(den(self.b))
-        )
-
     def __str__(self) -> str:
         if self.b == 0:
             return fmt_q(self.a)

@@ -9,6 +9,7 @@ import math
 import random
 
 from box_oracle import box_norm_counts, norm_ladder
+from numeric_oracle import to_complex
 from moduliq import qq
 from moduliq.borcherds import (
     HeegnerCombo,
@@ -305,7 +306,7 @@ def test_criterion_14_property_suites():
             series = eisenstein_level3(k, label, 6)
             val = 0j
             for kk, coeff in series.terms:
-                val += coeff.to_complex() * cmath.exp(
+                val += to_complex(coeff) * cmath.exp(
                     2j * cmath.pi * tau * kk / 3
                 )
             expected = c_k * val

@@ -161,6 +161,12 @@ def test_weil_work_is_bounded(capsys):
             assert _capture(capsys, [sub, "--lattice", name])[1] == 0
 
 
+def test_census_limit_names_itself(capsys):
+    # E8(3)+A2 has |A_M| = 3^8 * 3 = 19683
+    line = _usage_error(capsys, ["lattice", "--name", "E8(3)+A2"])
+    assert line == "error: |A_M| = 19683 exceeds CENSUS_LIMIT = 10000"
+
+
 def test_unwritable_out_file(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "t9.json"
     line = _usage_error(capsys, ["t9", "--out", str(target)])

@@ -1,7 +1,8 @@
 """Import boundaries of the command line: a subcommand loads only the
-computation layers it runs.  Each check starts a fresh interpreter with
-``PYTHONPATH=src``, runs command lines through ``moduliq.cli.run`` and reads
-``sys.modules`` afterwards."""
+computation layers it runs, and the frontend does without ``dataclasses``
+(whose import pulls in inspect, ast and tokenize).  Each check starts a fresh
+interpreter with ``PYTHONPATH=src``, runs command lines through
+``moduliq.cli.run`` and reads ``sys.modules`` afterwards."""
 
 import json
 import os
@@ -13,7 +14,8 @@ from moduliq.cli import COMMANDS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# argv: a JSON list of command lines; prints [exit codes, loaded moduliq modules]
+# argv: a JSON list of command lines; prints [exit codes, loaded modules], the
+# modules being those of the package (without the prefix) and dataclasses
 _PROBE = """
 import contextlib, io, json, sys
 import moduliq.cli
@@ -21,7 +23,8 @@ codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(moduliq.cli.run(argv)[1])
-loaded = sorted(m.removeprefix("moduliq.") for m in sys.modules if m.startswith("moduliq."))
+loaded = sorted(m.removeprefix("moduliq.") for m in sys.modules
+                if m.startswith("moduliq.") or m == "dataclasses")
 print(json.dumps([codes, loaded]))
 """
 
@@ -52,8 +55,9 @@ def test_help_loads_no_layer():
 
 
 def test_t9_loads_the_ledger_alone():
-    # no lattices, shortvec, qseries, modforms, borcherds, kirwan or luna
-    assert _loaded(["t9"]) == ([0], FRONTEND | {"ledger", "scalars"})
+    # no lattices, shortvec, qseries, modforms, borcherds, kirwan or luna;
+    # the ledger and the scalars still declare dataclasses
+    assert _loaded(["t9"]) == ([0], FRONTEND | {"ledger", "scalars", "dataclasses"})
 
 
 def test_luna_loads_the_slice_layer_alone():

@@ -248,3 +248,13 @@ def test_disc_form_isomorphism():
     assert not disc_forms_isomorphic(a2, a2_pos)
     assert not disc_forms_isomorphic(a2, a2, flip_sign=True)
     assert disc_forms_isomorphic(a2, a2_pos, flip_sign=True)
+
+
+def test_census_limits_name_themselves():
+    e8_3 = build_standard("E8(3)")  # |A_M| = 3^8 = 6561
+    with pytest.raises(ValueError, match=r"^\|A_M\| = 6561 exceeds ISO_LIMIT = 1000$"):
+        disc_forms_isomorphic(e8_3, e8_3)
+    big = build_standard("E8(3)+A2")  # |A_M| = 19683
+    for census in (classify_disc_elements, pairing_census):
+        with pytest.raises(ValueError, match=r"^\|A_M\| = 19683 exceeds CENSUS_LIMIT = 10000$"):
+            census(big)

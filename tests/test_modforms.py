@@ -2,9 +2,12 @@ import cmath
 
 import pytest
 
+from numeric_oracle import to_complex
+
 from moduliq import qq
 from moduliq.lattices import build_standard
 from moduliq.modforms import (
+    _alpha_invariant,
     bernoulli,
     eisenstein_level3,
     obstruction_cusp_basis,
@@ -116,6 +119,17 @@ def test_weil_rejects_nonsquare_group():
         weil_rep(build_standard("A2"))
 
 
+# (total, eisenstein, alphas) of the symmetrized dual rep of L_dm, by weight
+L_DM_DIMENSIONS = {
+    4: (2, 2, (1, qq(4, 3), 1)),
+    6: (3, 2, (1, 1, 1)),
+    8: (3, 2, (1, qq(5, 3), 1)),
+    10: (4, 2, (1, qq(4, 3), 1)),
+    12: (5, 2, (1, 1, 1)),
+    14: (5, 2, (1, qq(5, 3), 1)),
+}
+
+
 def test_dimension_formula():
     rep = weil_rep(build_standard("L_dm"), dual=True).symmetrized()
     report = vvmf_dimension_report(10, rep)
@@ -124,8 +138,31 @@ def test_dimension_formula():
     assert report.cusp == 2
     assert report.alphas == (qq(1), qq(4, 3), qq(1))
     assert report.d == 4
+    for k, want in L_DM_DIMENSIONS.items():
+        report = vvmf_dimension_report(k, rep)
+        assert (report.total, report.eisenstein, report.alphas) == want
     with pytest.raises(ValueError):
         vvmf_dimension_report(2, rep)
+
+
+@pytest.mark.parametrize("k", [6, 10])
+def test_dimension_formula_refuses_an_unsymmetrized_rep(k):
+    # on C[A_M], S^2 sends e_g to e_-g, so S^2 = 1 holds on 5 of 9 dimensions
+    rep = weil_rep(build_standard("L_dm"), dual=True)
+    with pytest.raises(ValueError, match=r"5 of 9 .*symmetrized\(\)"):
+        vvmf_dimension_report(k, rep)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 1], [0, 1]],  # not diagonalisable
+        [[0, -1], [1, 0]],  # eigenvalues +-i, outside the sixth roots
+    ],
+)
+def test_alpha_invariant_refuses_matrices_outside_its_scope(rows):
+    with pytest.raises(ValueError, match="sixth roots"):
+        _alpha_invariant([[cyc(x) for x in row] for row in rows])
 
 
 def test_bernoulli_numbers():
@@ -161,7 +198,7 @@ def _series_value(series, tau):
     total = 0j
     for k, c in series.terms:
         e = qq(k, series.n_den)
-        total += c.to_complex() * cmath.exp(
+        total += to_complex(c) * cmath.exp(
             2j * cmath.pi * tau * int(e.numerator) / int(e.denominator)
         )
     return total
@@ -228,7 +265,7 @@ def test_obstruction_tuples_satisfy_s_law_numerically():
     tau = 1j
     eis = obstruction_eisenstein(10)
     case_a, case_b = obstruction_cusp_basis(10)
-    smat = [[x.to_complex() for x in row] for row in sym.mat_s]
+    smat = [[to_complex(x) for x in row] for row in sym.mat_s]
     for form in (eis, case_a, case_b):
         values = [_series_value(form.component(lbl), tau) for lbl in sym.labels]
         scale = max(max(abs(v) for v in values), 1e-9)
