@@ -104,10 +104,10 @@ def delta_inverse_form(prec) -> VVForm:
 def e4_over_delta_form(prec) -> VVForm:
     """theta_E8 / Delta = E4/Delta on a unimodular lattice of signature (2,18)."""
     prec = qq(prec)
-    e8 = build_standard("E8")
-    theta = theta_series(e8, None, prec + 2)
+    inv_d = inverse_delta(prec + 1)  # first: it checks prec against TERM_LIMIT
+    theta = theta_series(build_standard("E8"), None, prec + 2)
     return VVForm(
-        {"00": (theta * inverse_delta(prec + 1)).truncate(prec)},
+        {"00": (theta * inv_d).truncate(prec)},
         weight=qq(-8),
         rep="rho",
     )
@@ -126,11 +126,11 @@ def ma_input(prec) -> VVForm:
     a2 = build_standard("A2")
     e6 = build_standard("E6")
     margin = prec + 2
+    inv_d = inverse_delta(margin)  # first: it checks prec against TERM_LIMIT
     th_a2 = theta_series(a2, None, margin)
     th_a2_1 = theta_series(a2, (1,), margin)
     th_e6 = theta_series(e6, None, margin)
     th_e6_1 = theta_series(e6, (1,), margin)
-    inv_d = inverse_delta(margin)
     comps = {
         "00": (th_a2 * th_e6 * inv_d).truncate(prec),
         "0": (th_e6_1 * th_a2_1 * inv_d).truncate(prec),

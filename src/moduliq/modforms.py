@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _linalg
-from ._rational import as_int, den, floor_q, is_integer, mod_q, qq
+from ._rational import as_int, den, floor_q, is_integer, mod_q, num, qq
 from .lattices import WEIL_LIMIT, Lattice, discriminant_group, elements_by_type
-from .qseries import QSeries, eta_power
-from .scalars import CYC_ONE, CYC_ZERO, CycNum, cyc, omega_pow, root_of_unity_6
+from .qseries import QSeries, check_terms, cutoff, eta_power
+from .scalars import CYC_ONE, CYC_ZERO, OMEGA_POWERS, CycNum, cyc, omega_pow, root_of_unity_6
 from .shortvec import _resolve_coset, coset_norm_counts
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 TYPE_ORDER = ("00", "0", "4/3", "2/3")
+_OMEGA_PAIRS = tuple((num(w.a), num(w.b)) for w in OMEGA_POWERS)  # w^j = x + y w as ints (x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -289,20 +290,21 @@ def eisenstein_level3(k: int, label, prec) -> QSeries:
     if a1 == 0:
         const = -bernoulli(k) * (3**k - 1) / (2 * k)
         coeffs[0] = cyc(const)
-    n = 1
-    while qq(n, 3) < prec:
-        total = CYC_ZERO
-        for dd in range(1, n + 1):
-            if n % dd:
-                continue
-            quot = n // dd
-            if quot % 3 == a1:
-                total = total + qq(dd) ** (k - 1) * omega_pow(a2 * dd)
-            if quot % 3 == (-a1) % 3:
-                total = total + qq((-1) ** k) * qq(dd) ** (k - 1) * omega_pow(-a2 * dd)
-        if not total.is_zero():
-            coeffs[n] = total
-        n += 1
+    # divisor sieve on int pairs x + y w: each d adds its two terms to the
+    # n = d * quot with quot = a1 resp. -a1 mod 3, stepping 3d through them
+    size = check_terms(cutoff(prec, 3))
+    re, im = [0] * size, [0] * size
+    for dd in range(1, size):
+        power = dd ** (k - 1)
+        for residue, sign, exponent in ((a1, 1, a2 * dd), (-a1 % 3, (-1) ** k, -a2 * dd)):
+            x, y = _OMEGA_PAIRS[exponent % 3]
+            x, y = sign * power * x, sign * power * y
+            for n in range(dd * (residue or 3), size, 3 * dd):
+                re[n] += x
+                im[n] += y
+    for n in range(1, size):
+        if re[n] or im[n]:
+            coeffs[n] = CycNum(qq(re[n]), qq(im[n]))
     return QSeries.make(3, coeffs, prec)
 
 
@@ -355,8 +357,7 @@ def obstruction_eisenstein(prec) -> VVForm:
     e4 = eisenstein_level3(10, (1, 2), prec)
     const = e1.coeff(0).rational()  # -671/3
     s = qq(-1, 2) / const
-    w = omega_pow(1)
-    w2 = omega_pow(2)
+    _, w, w2 = OMEGA_POWERS
     h00 = (e1 + (e2 + e3 + e4).scale(qq(1, 3))).scale(s)
     h0 = (e2 + e3 + e4).scale(s * qq(4, 3))
     h43 = (e2 + e3.scale(w2) + e4.scale(w)).scale(s * qq(2, 3))
@@ -375,8 +376,7 @@ def obstruction_cusp_basis(prec):
     that cancel the shared non-analytic part.
     """
     prec = qq(prec)
-    w = omega_pow(1)
-    w2 = omega_pow(2)
+    _, w, w2 = OMEGA_POWERS
 
     eta8 = eta_power(8, prec + qq(2, 3))
     f1 = eisenstein_level3(6, (0, 1), prec)

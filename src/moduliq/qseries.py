@@ -7,6 +7,16 @@ q^(k/N) on a fixed grid N.
 
 Powers, inverses and eta products all come from one recurrence in
 ``QSeries.pow``: J.C.P. Miller's power formula (Knuth, TAOCP vol. 2, 4.7).
+
+The hot loops (``__mul__`` and ``pow``) run on Python int pairs (x, y)
+meaning (x + y w) / D over one common denominator D: each input
+coefficient is scaled once, the loop uses w^2 = -1 - w, and each output
+coefficient becomes one ``CycNum`` of two rationals.  In ``pow`` the
+denominator rolls: it grows only at a step whose division is not exact,
+and stays 1 for an integral series with a unit leading coefficient.
+
+No kernel computes more than ``TERM_LIMIT`` coefficients, so a precision
+that would take hours is refused at once.
 """
 
 import bisect
@@ -16,11 +26,36 @@ from dataclasses import dataclass
 from ._rational import as_int, den, floor_q, fmt_q, num, qq
 from .scalars import CYC_ONE, CYC_ZERO, CycNum, cyc
 
-__all__ = ["QSeries", "PrecisionError", "eta_power", "delta_series", "inverse_delta"]
+__all__ = [
+    "QSeries", "PrecisionError", "TERM_LIMIT", "eta_power", "delta_series", "inverse_delta",
+]
+
+# coefficients one kernel may compute; 1/Delta to q^2000 takes about 1 s
+TERM_LIMIT = 2_000
 
 
 class PrecisionError(ValueError):
     pass
+
+
+def cutoff(trunc, n_den: int) -> int:
+    """The least key k with k/n_den >= trunc: the keys below it are known."""
+    return -floor_q(-trunc * n_den)
+
+
+def check_terms(count: int) -> int:
+    """count, or ValueError naming TERM_LIMIT when it is larger."""
+    if count > TERM_LIMIT:
+        raise ValueError(f"{count} terms exceed TERM_LIMIT = {TERM_LIMIT}")
+    return count
+
+
+def _int_pairs(terms):
+    """(D, [(k, x, y), ...]) with each coefficient equal to (x + y w) / D."""
+    d = math.lcm(*(den(z) for _, c in terms for z in (c.a, c.b)))
+    return d, [
+        (k, num(c.a) * (d // den(c.a)), num(c.b) * (d // den(c.b))) for k, c in terms
+    ]
 
 
 @dataclass(frozen=True)
@@ -34,7 +69,7 @@ class QSeries:
     @staticmethod
     def make(n_den: int, coeffs: dict, trunc) -> "QSeries":
         trunc = qq(trunc)
-        limit = -floor_q(-trunc * n_den)  # keys below limit are known
+        limit = cutoff(trunc, n_den)
         items = []
         for k, c in coeffs.items():
             c = cyc(c)
@@ -136,15 +171,28 @@ class QSeries:
             self.trunc + other.leading_exponent(),
             other.trunc + self.leading_exponent(),
         )
-        limit = -floor_q(-trunc * n)  # keys below limit are known
-        out = {}
-        for ka, ca in self.terms:
-            for kb, cb in other.terms:
-                k = ka * fa + kb * fb
+        limit = cutoff(trunc, n)
+        da, pa = _int_pairs(self.terms)
+        db, pb = _int_pairs(other.terms)
+        pb = [(kb * fb, xb, yb) for kb, xb, yb in pb]
+        re, im = {}, {}
+        for ka, xa, ya in pa:
+            ka *= fa
+            for kb, xb, yb in pb:
+                k = ka + kb
                 if k >= limit:
                     break
-                out[k] = out.get(k, CYC_ZERO) + ca * cb
-        return QSeries.make(n, out, trunc)
+                # (xa + ya w)(xb + yb w) = (xa xb - ya yb) + (xa yb + ya xb - ya yb) w
+                yy = ya * yb
+                re[k] = re.get(k, 0) + xa * xb - yy
+                im[k] = im.get(k, 0) + xa * yb + ya * xb - yy
+        d = da * db
+        terms = tuple(
+            (k, CycNum(qq(x, d), qq(im[k], d)))
+            for k, x in sorted(re.items())
+            if x or im[k]
+        )
+        return QSeries(n, terms, trunc)
 
     __rmul__ = __mul__
 
@@ -181,18 +229,39 @@ class QSeries:
             return QSeries.one(self.trunc)
         k0, c = self.terms[0]
         e = qq(k0, self.n_den)
-        v = [(k - k0, ck / c) for k, ck in self.terms[1:]]
-        w = [CYC_ONE]
-        for n in range(1, -floor_q((e - self.trunc) * self.n_den)):  # n/N < trunc - e
-            acc = CYC_ZERO
-            for k, vk in v:
+        c_inv = c.inverse()
+        d, v = _int_pairs([(k - k0, ck * c_inv) for k, ck in self.terms[1:]])
+        v = [(k, (m + 1) * k, x, y) for k, x, y in v]
+        # W_n = (p_n + q_n w) / big_d with W_0 = 1
+        w = [(1, 0)]
+        big_d = 1
+        for n in range(1, check_terms(cutoff(self.trunc - e, self.n_den))):
+            sa = sb = 0
+            for k, mk, x, y in v:
                 if k > n:
                     break
-                acc = acc + vk * w[n - k] * ((m + 1) * k - n)
-            w.append(acc * qq(1, n))
-        cm = c**m
-        terms = {n + m * k0: cm * wn for n, wn in enumerate(w)}
-        return QSeries.make(self.n_den, terms, self.trunc + (m - 1) * e)
+                p, q = w[n - k]
+                t = mk - n
+                yq = y * q
+                sa += t * (x * p - yq)
+                sb += t * (x * q + y * p - yq)
+            # W_n = (sa + sb w) / (n d big_d); only the part of n d that does
+            # not divide (sa, sb) moves into the rolling denominator
+            nd = n * d
+            g = math.gcd(nd, sa, sb)
+            if g != nd:
+                f = nd // g
+                big_d *= f
+                w = [(p * f, q * f) for p, q in w]
+            w.append((sa // g, sb // g))
+        cd, ((_, cx, cy),) = _int_pairs([(0, c**m)])
+        d = cd * big_d
+        terms = tuple(
+            (n + m * k0, CycNum(qq(cx * p - cy * q, d), qq(cx * q + cy * p - cy * q, d)))
+            for n, (p, q) in enumerate(w)
+            if p or q
+        )
+        return QSeries(self.n_den, terms, self.trunc + (m - 1) * e)
 
     def invert(self) -> "QSeries":
         """Two-sided inverse up to truncation; leading coefficient must be a unit."""
@@ -206,10 +275,10 @@ class QSeries:
     # -- comparison on jointly-known range ----------------------------------
 
     def agrees_with(self, other: "QSeries") -> bool:
-        bound = min(self.trunc, other.trunc)
         n = math.lcm(self.n_den, other.n_den)
-        a = {k: c for k, c in self._regrid(n).items() if qq(k, n) < bound}
-        b = {k: c for k, c in other._regrid(n).items() if qq(k, n) < bound}
+        limit = cutoff(min(self.trunc, other.trunc), n)
+        a = {k: c for k, c in self._regrid(n).items() if k < limit}
+        b = {k: c for k, c in other._regrid(n).items() if k < limit}
         return a == b
 
     # -- rendering -----------------------------------------------------------
@@ -256,6 +325,7 @@ def eta_power(m: int, prec) -> QSeries:
     rel = prec - shift
     if rel <= 0:
         return QSeries.zero(prec, 24 // math.gcd(m, 24))
+    check_terms(cutoff(rel, 1))  # before the pentagonal loop, which takes sqrt(rel) steps
     pentagonal = {0: 1}
     j = 1
     while j * (3 * j - 1) // 2 < rel:

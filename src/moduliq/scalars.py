@@ -13,6 +13,7 @@ from ._rational import QQ, den, fmt_q, num, qq
 __all__ = [
     "CycNum",
     "OMEGA",
+    "OMEGA_POWERS",
     "SQRT_M3",
     "cyc",
     "cyc_conj_norm",
@@ -133,18 +134,18 @@ CYC_ZERO = cyc(0)
 CYC_ONE = cyc(1)
 OMEGA = CycNum(qq(0), qq(1))
 SQRT_M3 = CycNum(qq(1), qq(2))  # (1 + 2w)^2 = -3
+OMEGA_POWERS = (CYC_ONE, OMEGA, OMEGA * OMEGA)  # w^0, w^1, w^2 = -1 - w
 
 
 def omega_pow(k: int) -> CycNum:
-    return (CYC_ONE, OMEGA, OMEGA * OMEGA)[k % 3]
+    return OMEGA_POWERS[k % 3]
 
 
 def root_of_unity_6(j: int) -> CycNum:
     """exp(2*pi*i*j/6) as an element of Q(w)."""
-    j %= 6
-    sign = CYC_ONE if j % 2 == 0 else -CYC_ONE
     # exp(pi i j / 3) = (-w^2)^j; (-w^2) is the primitive sixth root.
-    return sign * omega_pow(2 * j)
+    w2j = OMEGA_POWERS[2 * j % 3]
+    return w2j if j % 2 == 0 else -w2j
 
 
 def cyc_conj_norm(x) -> tuple:

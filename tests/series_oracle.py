@@ -1,0 +1,91 @@
+"""Plain Q(w) oracles for the q-series kernels, shared by the test modules.
+
+A series here is a dict {rational exponent: CycNum} known below a rational
+truncation.  Everything is computed with ``CycNum`` arithmetic in double
+loops, on no exponent grid, and shares nothing with the int-pair kernels of
+``moduliq.qseries`` and ``moduliq.modforms``: no common denominator, no
+rolling denominator, no divisor sieve.
+"""
+
+from moduliq import qq
+from moduliq.scalars import CycNum, OMEGA
+
+ZERO = CycNum(qq(0), qq(0))
+ONE = CycNum(qq(1), qq(0))
+BERNOULLI = {2: qq(1, 6), 6: qq(1, 42), 10: qq(5, 66)}
+
+
+def as_dict(series):
+    """(exponent dict, trunc) of a QSeries."""
+    return {qq(k, series.n_den): c for k, c in series.terms}, series.trunc
+
+
+def _nonzero(coeffs):
+    return {e: c for e, c in coeffs.items() if not c.is_zero()}
+
+
+def mul(a, ta, b, tb):
+    """Product of a (known below ta) and b (known below tb), with the
+    truncation min(ta + lead(b), tb + lead(a)); an empty series leads at
+    its truncation."""
+    trunc = min(ta + min(b, default=tb), tb + min(a, default=ta))
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            if ea + eb < trunc:
+                out[ea + eb] = out.get(ea + eb, ZERO) + ca * cb
+    return _nonzero(out), trunc
+
+
+def inverse(a, ta, n_den):
+    """1/a for a nonzero series on the grid q^(1/n_den), by back-substitution:
+    with a = c q^e (1 + ...), u_0 = 1 and u_n = -sum_(j=1..n) v_j u_(n-j)."""
+    e = min(a)
+    c_inv = ONE / a[e]
+    v = {as_grid(x - e, n_den): cx * c_inv for x, cx in a.items()}
+    u = [ONE]
+    n = 1
+    while qq(n, n_den) < ta - e:
+        u.append(-sum((v.get(j, ZERO) * u[n - j] for j in range(1, n + 1)), ZERO))
+        n += 1
+    return _nonzero({qq(n, n_den) - e: c_inv * un for n, un in enumerate(u)}), ta - 2 * e
+
+
+def power(a, ta, n_den, m):
+    """a^m by |m| oracle products of a or of its inverse; a^0 = 1 known
+    below ta."""
+    if m == 0:
+        return ({qq(0): ONE} if ta > 0 else {}), ta
+    base, tb = (a, ta) if m > 0 else inverse(a, ta, n_den)
+    out, trunc = base, tb
+    for _ in range(abs(m) - 1):
+        out, trunc = mul(out, trunc, base, tb)
+    return out, trunc
+
+
+def as_grid(x, n_den):
+    scaled = x * n_den
+    assert scaled.denominator == 1, (x, n_den)
+    return int(scaled)
+
+
+def eisenstein_level3(k, label, prec):
+    """The level-3 Eisenstein expansion by trial division:
+    sum over d | n of d^(k-1) [w^(a2 d) [n/d = a1] + (-1)^k w^(-a2 d) [n/d = -a1]]
+    at q^(n/3), with the constant term -B_k (3^k - 1) / (2k) when a1 = 0."""
+    a1, a2 = label[0] % 3, label[1] % 3
+    out = {}
+    if a1 == 0:
+        out[qq(0)] = CycNum(-BERNOULLI[k] * (3**k - 1) / (2 * k), qq(0))
+    n = 1
+    while qq(n, 3) < prec:
+        total = ZERO
+        for d in range(1, n + 1):
+            if n % d == 0:
+                if (n // d) % 3 == a1:
+                    total = total + qq(d) ** (k - 1) * OMEGA ** ((a2 * d) % 3)
+                if (n // d) % 3 == (-a1) % 3:
+                    total = total + qq((-1) ** k * d ** (k - 1)) * OMEGA ** ((-a2 * d) % 3)
+        out[qq(n, 3)] = total
+        n += 1
+    return _nonzero(out), qq(prec)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moduliq.cli import run
+from moduliq.qseries import TERM_LIMIT
 
 
 def _capture(capsys, argv):
@@ -165,6 +166,22 @@ def test_census_limit_names_itself(capsys):
     # E8(3)+A2 has |A_M| = 3^8 * 3 = 19683
     line = _usage_error(capsys, ["lattice", "--name", "E8(3)+A2"])
     assert line == "error: |A_M| = 19683 exceeds CENSUS_LIMIT = 10000"
+
+
+def test_term_limit_bounds_the_series_subcommands(capsys):
+    # --prec 1e6 used to run for hours; each subcommand now refuses it at once
+    for argv, count in (
+        (["eisenstein", "--weight", "10", "--label", "1,0"], 3_000_000),
+        (["obstruction"], 3_000_000),
+        (["borcherds"], 1_000_003),
+        (["borcherds", "--input", "delta"], 1_000_001),
+        (["borcherds", "--input", "e4delta"], 1_000_002),
+        (["ma-input"], 1_000_003),
+    ):
+        line = _usage_error(capsys, [*argv, "--prec", "1e6"])
+        assert line == f"error: {count} terms exceed TERM_LIMIT = {TERM_LIMIT}"
+    for argv in (["borcherds", "--input", "delta"], ["eisenstein", "--weight", "2", "--label", "1,1"]):
+        assert _capture(capsys, [*argv, "--prec", "1e18"])[1] == 1
 
 
 def test_unwritable_out_file(tmp_path, capsys):

@@ -2,6 +2,7 @@ import cmath
 
 import pytest
 
+import series_oracle
 from numeric_oracle import to_complex
 
 from moduliq import qq
@@ -192,6 +193,16 @@ def test_eisenstein_level3_expansions():
         eisenstein_level3(10, (0, 0), 1)
     with pytest.raises(ValueError):
         eisenstein_level3(4, (1, 0), 1)
+
+
+@pytest.mark.parametrize("k", (2, 6, 10))
+def test_eisenstein_level3_against_trial_division(k):
+    labels = [(a1, a2) for a1 in range(3) for a2 in range(3) if (a1, a2) != (0, 0)]
+    for label in labels:
+        for prec in (qq(1, 3), qq(7, 2), 20):
+            series = eisenstein_level3(k, label, prec)
+            oracle = series_oracle.eisenstein_level3(k, label, prec)
+            assert series_oracle.as_dict(series) == oracle, (k, label, prec)
 
 
 def _series_value(series, tau):

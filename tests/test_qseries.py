@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import series_oracle
 from moduliq import qq
 from moduliq.qseries import (
     PrecisionError,
@@ -15,6 +16,7 @@ from moduliq.qseries import (
     inverse_delta,
 )
 from moduliq.scalars import CYC_ONE, CycNum
+from series_oracle import as_dict
 
 
 def conv(a, b, n):
@@ -140,6 +142,40 @@ def test_pow_matches_repeated_products(a, m):
     product = p * a.pow(-m)
     assert product.trunc == a.trunc
     assert product.agrees_with(QSeries.one(a.trunc))
+
+
+_RATIONAL = st.builds(qq, st.integers(-6, 6), st.integers(1, 6))
+_COEFF = st.builds(CycNum, _RATIONAL, _RATIONAL)
+# non-unit leads (2 + w, 3, rationals) make the rolling denominator of QSeries.pow grow
+_LEADS = st.one_of(
+    st.builds(CycNum, st.sampled_from((1, 2, -1, 3)).map(qq), st.integers(0, 2).map(qq)),
+    _COEFF.filter(lambda c: not c.is_zero()),
+)
+
+
+@st.composite
+def rational_series(draw, invertible=False):
+    """Q(w) coefficients with denominators up to 6 on the grid q^(1/N),
+    N in (1, 2, 3, 24), known below a truncation on or off the grid."""
+    n_den = draw(st.sampled_from((1, 2, 3, 24)))
+    start = draw(st.integers(-4, 4))
+    span = draw(st.integers(0, 10))
+    keys = st.integers(start, start + span)
+    terms = draw(st.dictionaries(keys, _COEFF, max_size=8))
+    if invertible:
+        terms[start] = draw(_LEADS)
+    trunc = qq(start + span, n_den) + qq(draw(st.integers(1, 6)), 6 * n_den)
+    return QSeries.make(n_den, terms, trunc)
+
+
+@given(rational_series(), rational_series())
+def test_mul_matches_the_oracle(a, b):
+    assert as_dict(a * b) == series_oracle.mul(*as_dict(a), *as_dict(b))
+
+
+@given(rational_series(invertible=True), st.integers(-3, 4))
+def test_pow_matches_the_oracle(a, m):
+    assert as_dict(a.pow(m)) == series_oracle.power(*as_dict(a), a.n_den, m)
 
 
 def test_pow_keeps_relative_precision():
