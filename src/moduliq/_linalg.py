@@ -1,6 +1,7 @@
 """Small exact linear algebra helpers: one field elimination (``_echelon``,
-read by the determinant, rank and inverse), one symmetric elimination (LDL^T,
-read by ``inertia`` and the short-vector walk), Smith/Hermite forms.
+read by the determinant, rank and inverse), one symmetric elimination of
+pivots (``inertia``), the integral LLL that the short-vector walk reduces
+and reads its Gram-Schmidt pivots from, and Smith/Hermite forms.
 
 Matrices are tuples of tuples (immutable) or lists of lists (work buffers).
 Field routines are generic over any type supporting +,-,*,/ and == 0
@@ -132,18 +133,17 @@ def mat_inverse(a, one, zero):
 # rational-specific
 
 
-def ldl(gram):
-    """(D, U) with gram = U^T diag(D) U, U unit upper triangular (a list of rows).
+def inertia(gram):
+    """(positive, negative, zero) counts for a symmetric rational matrix.
 
-    The one symmetric elimination: ``inertia`` reads the signs of D and the
-    short-vector walk reads D and U.  A zero pivot with a nonzero row is first
-    made nonzero by the congruence e_i -> e_i +- e_j, so the signs of D give
-    the inertia of any symmetric form, degenerate or indefinite; when every
-    pivot is positive no such step was taken and the factorization is exact.
+    One symmetric elimination that keeps only its pivots.  A zero pivot with
+    a nonzero row is first made nonzero by the congruence e_i -> e_i +- e_j,
+    so the pivot signs give the inertia of any symmetric form, degenerate or
+    indefinite.
     """
     n = len(gram)
     a = [[qq(x) for x in row] for row in gram]
-    d, u = [], []
+    pos = neg = 0
     for i in range(n):
         if a[i][i] == 0:
             j = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
@@ -155,27 +155,107 @@ def ldl(gram):
                 for r in range(i, n):
                     a[r][i] = a[r][i] + s * a[r][j]
         p = a[i][i]
-        row = [qq(0)] * i + [qq(1)] + [a[i][c] / p if p else qq(0) for c in range(i + 1, n)]
+        if p == 0:
+            continue  # the whole row is zero: nothing to eliminate
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
         for r in range(i + 1, n):
-            for c in range(r, n):
-                a[r][c] = a[r][c] - row[r] * a[i][c]
-                a[c][r] = a[r][c]
-        d.append(p)
-        u.append(row)
-    return d, u
-
-
-def inertia(gram):
-    """(positive, negative, zero) counts for a symmetric rational matrix,
-    from the signs of the ``ldl`` pivots; exact on degenerate forms too."""
-    d, _u = ldl(gram)
-    pos = sum(1 for p in d if p > 0)
-    neg = sum(1 for p in d if p < 0)
-    return pos, neg, len(d) - pos - neg
+            f = a[i][r] / p
+            if f:
+                for c in range(r, n):
+                    a[r][c] = a[r][c] - f * a[i][c]
+                    a[c][r] = a[r][c]
+    return pos, neg, n - pos - neg
 
 
 # ---------------------------------------------------------------------------
 # integer routines
+
+
+def lll(gram):
+    """Integral LLL reduction (delta = 3/4) of a positive definite int Gram.
+
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7,
+    run on the Gram matrix alone.  Returns (reduced, t, t_inv, d, lam): the
+    rows of the unimodular t give the reduced basis, reduced = t G t^T and
+    t_inv = t^-1.  d[i] is the Gram determinant of the first i reduced
+    vectors (d[0] = 1), and lam[k][j] = d[j+1] mu_kj (j < k) holds the
+    Gram-Schmidt coefficients, so vector i has Gram-Schmidt norm
+    d[i+1] / d[i].  Every quantity is an int.  Raises ValueError when G is
+    not positive definite.
+    """
+    g = [[int(x) for x in row] for row in gram]
+    n = len(g)
+    t = mat_identity(n, 1, 0)
+    t_inv = mat_identity(n, 1, 0)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def redi(k, l):
+        # size-reduce vector k against vector l: b_k -= r b_l, r the nearest
+        # integer to mu_kl, unless |mu_kl| <= 1/2 already
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        r = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        gk, gl = g[k], g[l]
+        for c in range(n):
+            gk[c] -= r * gl[c]
+        for row in g:
+            row[k] -= r * row[l]
+        t[k] = [x - r * y for x, y in zip(t[k], t[l])]
+        for row in t_inv:
+            row[l] += r * row[k]
+        lam[k][l] -= r * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= r * lam[l][i]
+
+    def swap(k, kmax):
+        # exchange vectors k - 1 and k, and update d[k] and lam (Cohen's SWAPI)
+        g[k - 1], g[k] = g[k], g[k - 1]
+        for row in g:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        t[k - 1], t[k] = t[k], t[k - 1]
+        for row in t_inv:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        lam[k - 1][: k - 1], lam[k][: k - 1] = lam[k][: k - 1], lam[k - 1][: k - 1]
+        m = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, kmax + 1):
+            s = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * s) // d[k]
+            lam[i][k - 1] = (b * s + m * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    k, kmax = 0, -1
+    while k < n:
+        if k > kmax:
+            # incremental Gram-Schmidt of the new vector k
+            kmax = k
+            for j in range(k + 1):
+                u = g[k][j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u <= 0:
+                    raise ValueError("Gram matrix is not positive definite")
+                else:
+                    d[k + 1] = u
+        if k == 0:
+            k = 1
+            continue
+        redi(k, k - 1)
+        # Lovasz: d_k+1 d_k-1 >= (3/4) d_k^2 - lam_k,k-1^2, else swap and step back
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
+            swap(k, kmax)
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                redi(k, l)
+            k += 1
+    return g, t, t_inv, d, lam
 
 
 def smith_normal_form(a, mod):

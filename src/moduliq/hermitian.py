@@ -2,15 +2,17 @@
 
 The Hermitian form is linear in the first argument and conjugate-linear in
 the second; Gram entries lie in (1/sqrt(-3)) Z[w] with sqrt(-3) = 1 + 2w
-held exactly.  No real radicals appear anywhere.
+held exactly.  No real radicals appear anywhere.  The trace form and the
+reflections are computed on int pairs (x, y) = x + y w over one common
+denominator of the Gram matrix, with w^2 = -1 - w, and become ``CycNum``
+or rational values once, on output.
 """
 
 from dataclasses import dataclass
 
-from . import _linalg
-from ._rational import qq
+from ._rational import num, qq
 from .lattices import Lattice
-from .scalars import CYC_ONE, CYC_ZERO, OMEGA, SQRT_M3, CycNum, cyc
+from .scalars import CYC_ONE, CYC_ZERO, OMEGA, SQRT_M3, CycNum, cyc, int_pairs
 
 __all__ = [
     "HermLattice",
@@ -41,7 +43,14 @@ class HermLattice:
 
     def inner(self, x, y) -> CycNum:
         """h(x, y), conjugate-linear in y; coordinates are CycNum vectors."""
-        return _herm_inner(self.gram, x, y)
+        s = CYC_ZERO
+        for i, xi in enumerate(x):
+            if xi.is_zero():
+                continue
+            for j, yj in enumerate(y):
+                if not yj.is_zero():
+                    s = s + xi * yj.conj() * self.gram[i][j]
+        return s
 
     def signature(self):
         """Hermitian signature, from the exact inertia of the trace form."""
@@ -50,15 +59,41 @@ class HermLattice:
         return pos // 2, neg // 2
 
 
-def _herm_inner(gram, x, y) -> CycNum:
-    s = CYC_ZERO
-    for i, xi in enumerate(x):
-        if xi.is_zero():
-            continue
-        for j, yj in enumerate(y):
-            if not yj.is_zero():
-                s = s + xi * yj.conj() * gram[i][j]
-    return s
+def _pair_rows(gram):
+    """(D, rows) with gram[i][j] = (x + y w) / D for the int pair (x, y) at
+    rows[i][j]."""
+    d, flat = int_pairs([(None, c) for row in gram for c in row])
+    n = len(gram)
+    return d, [[(x, y) for _k, x, y in flat[i * n : (i + 1) * n]] for i in range(n)]
+
+
+def _pair_mul(u, v):
+    """(x + y w)(a + b w) on int pairs, with w^2 = -1 - w."""
+    (x, y), (a, b) = u, v
+    return x * a - y * b, x * b + y * a - y * b
+
+
+def _pair_dot(u, v):
+    """sum_k u_k v_k over two vectors of int pairs."""
+    products = [_pair_mul(a, b) for a, b in zip(u, v)]
+    return sum(x for x, _ in products), sum(y for _, y in products)
+
+
+def _pair_mat_mul(a, b):
+    """Product of two square matrices of int pairs (x, y) = x + y w, with
+    w^2 = -1 - w; zero entries of a are skipped."""
+    n = len(b)
+    out = []
+    for row in a:
+        re, im = [0] * n, [0] * n
+        for (xa, ya), brow in zip(row, b):
+            if xa or ya:
+                for j, (xb, yb) in enumerate(brow):
+                    yy = ya * yb
+                    re[j] += xa * xb - yy
+                    im[j] += xa * yb + ya * xb - yy
+        out.append(list(zip(re, im)))
+    return out
 
 
 def eisenstein_hermitian_lattice() -> HermLattice:
@@ -100,24 +135,16 @@ def eisenstein_hermitian_lattice() -> HermLattice:
 def trace_lattice(h: HermLattice) -> Lattice:
     """Underlying Z-lattice on the basis (v1, w*v1, v2, w*v2, ...).
 
-    The bilinear form is Tr of the Hermitian form, Tr(a + b*w) = 2a - b.
+    The bilinear form is Tr of the Hermitian form, read in closed form from
+    h_ij = (a + b*w) / D: Tr(h) = Tr(w h conj(w)) = (2a - b) / D, and the
+    twists give Tr(w h) = (-a - b) / D and Tr(h conj(w)) = (2b - a) / D.
     """
-    n = h.rank
-    omega_powers = (CYC_ONE, OMEGA)
-
-    def tr(z: CycNum):
-        return 2 * z.a - z.b
-
-    rows = []
-    for i in range(n):
-        for s in range(2):
-            row = []
-            for j in range(n):
-                for t in range(2):
-                    val = omega_powers[s] * omega_powers[t].conj() * h.gram[i][j]
-                    row.append(tr(val))
-            rows.append(row)
-    return Lattice(tuple(tuple(qq(x) for x in row) for row in rows))
+    d, rows = _pair_rows(h.gram)
+    out = []
+    for row in rows:
+        out.append([qq(x, d) for a, b in row for x in (2 * a - b, 2 * b - a)])
+        out.append([qq(x, d) for a, b in row for x in (-a - b, 2 * a - b)])
+    return Lattice(tuple(map(tuple, out)))
 
 
 @dataclass(frozen=True)
@@ -145,31 +172,36 @@ def unitary_reflection(h: HermLattice, ell, xi) -> ReflectionReport:
     ell = tuple(cyc(x) for x in ell)
     if not all(x.is_integral() for x in ell):
         raise ValueError("ell must have Z[w] coordinates")
-    norm_ell = _herm_inner(h.gram, ell, ell)
-    if norm_ell != -CYC_ONE:
+    # On int pairs over the denominator D of the Gram H / D: with
+    # P_j = sum_k H_jk conj(ell_k) = D h(e_j, ell) and h(ell, ell) = -1, the
+    # matrix is S / D with S_ij = D delta_ij + (1 - xi) P_j ell_i.
+    d, gram = _pair_rows(h.gram)
+    ell = [(num(x.a), num(x.b)) for x in ell]
+    p = [_pair_dot(row, [(a - b, -b) for a, b in ell]) for row in gram]
+    if _pair_dot(ell, p) != (-d, 0):
         raise ValueError("ell must be a (-1)-vector")
+    twist = (1 - num(xi.a), -num(xi.b))  # 1 - xi
+    up = [_pair_mul(twist, x) for x in p]
+    s = [[_pair_mul(e, x) for x in up] for e in ell]
+    for i in range(len(s)):
+        s[i][i] = (s[i][i][0] + d, s[i][i][1])
     n = h.rank
-    basis = [
-        tuple(CYC_ONE if i == j else CYC_ZERO for i in range(n)) for j in range(n)
-    ]
-    one_minus_xi = CYC_ONE - xi
-    cols = []
-    for j, e in enumerate(basis):
-        coeff = one_minus_xi * _herm_inner(h.gram, e, ell) / norm_ell
-        col = [e[i] - coeff * ell[i] for i in range(n)]
-        cols.append(col)
-    matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    preserves_lattice = all(x.is_integral() for row in matrix for x in row)
-    # form preservation: h(sigma e_i, sigma e_j) == h(e_i, e_j)
-    images = [tuple(matrix[i][j] for i in range(n)) for j in range(n)]
-    preserves_form = all(
-        _herm_inner(h.gram, images[i], images[j]) == h.gram[i][j]
-        for i in range(n)
-        for j in range(n)
+    matrix = tuple(tuple(CycNum(qq(x, d), qq(y, d)) for x, y in row) for row in s)
+    preserves_lattice = all(x % d == 0 and y % d == 0 for row in s for x, y in row)
+    # form preservation, h(sigma e_i, sigma e_j) = h(e_i, e_j): S^T H conj(S) = D^2 H
+    form = _pair_mat_mul(
+        [list(col) for col in zip(*s)],
+        _pair_mat_mul(gram, [[(x - y, -y) for x, y in row] for row in s]),
     )
-    order = _linalg.mat_pow_order(
-        [list(row) for row in matrix], CYC_ONE, CYC_ZERO, cap=12
-    )
+    preserves_form = form == [[(d * d * x, d * d * y) for x, y in row] for row in gram]
+    # the order is the least k <= 12 with S^k = D^k I
+    order, power = None, s
+    for k in range(1, 13):
+        scalar = d**k
+        if all(power[i][j] == ((scalar if i == j else 0), 0) for i in range(n) for j in range(n)):
+            order = k
+            break
+        power = _pair_mat_mul(power, s)
     return ReflectionReport(preserves_lattice, preserves_form, order, matrix)
 
 

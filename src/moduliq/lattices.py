@@ -34,6 +34,7 @@ __all__ = [
 CENSUS_LIMIT = 10_000
 ISO_LIMIT = 1_000
 WEIL_LIMIT = 81  # |A_M| for modforms.weil_rep: n x n Q(w) matrices, 81 takes seconds
+WALK_LIMIT = 200_000  # leaves of one shortvec walk, counted per level-1 range; about 0.3 s
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from ._rational import as_int, den, floor_q, fmt_q, num, qq
-from .scalars import CYC_ONE, CYC_ZERO, CycNum, cyc
+from .scalars import CYC_ONE, CYC_ZERO, CycNum, cyc, int_pairs
 
 __all__ = [
     "QSeries", "PrecisionError", "TERM_LIMIT", "eta_power", "delta_series", "inverse_delta",
@@ -48,14 +48,6 @@ def check_terms(count: int) -> int:
     if count > TERM_LIMIT:
         raise ValueError(f"{count} terms exceed TERM_LIMIT = {TERM_LIMIT}")
     return count
-
-
-def _int_pairs(terms):
-    """(D, [(k, x, y), ...]) with each coefficient equal to (x + y w) / D."""
-    d = math.lcm(*(den(z) for _, c in terms for z in (c.a, c.b)))
-    return d, [
-        (k, num(c.a) * (d // den(c.a)), num(c.b) * (d // den(c.b))) for k, c in terms
-    ]
 
 
 @dataclass(frozen=True)
@@ -172,8 +164,8 @@ class QSeries:
             other.trunc + self.leading_exponent(),
         )
         limit = cutoff(trunc, n)
-        da, pa = _int_pairs(self.terms)
-        db, pb = _int_pairs(other.terms)
+        da, pa = int_pairs(self.terms)
+        db, pb = int_pairs(other.terms)
         pb = [(kb * fb, xb, yb) for kb, xb, yb in pb]
         re, im = {}, {}
         for ka, xa, ya in pa:
@@ -230,7 +222,7 @@ class QSeries:
         k0, c = self.terms[0]
         e = qq(k0, self.n_den)
         c_inv = c.inverse()
-        d, v = _int_pairs([(k - k0, ck * c_inv) for k, ck in self.terms[1:]])
+        d, v = int_pairs([(k - k0, ck * c_inv) for k, ck in self.terms[1:]])
         v = [(k, (m + 1) * k, x, y) for k, x, y in v]
         # W_n = (p_n + q_n w) / big_d with W_0 = 1
         w = [(1, 0)]
@@ -254,7 +246,7 @@ class QSeries:
                 big_d *= f
                 w = [(p * f, q * f) for p, q in w]
             w.append((sa // g, sb // g))
-        cd, ((_, cx, cy),) = _int_pairs([(0, c**m)])
+        cd, ((_, cx, cy),) = int_pairs([(0, c**m)])
         d = cd * big_d
         terms = tuple(
             (n + m * k0, CycNum(qq(cx * p - cy * q, d), qq(cx * q + cy * p - cy * q, d)))

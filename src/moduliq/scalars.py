@@ -17,6 +17,7 @@ __all__ = [
     "SQRT_M3",
     "cyc",
     "cyc_conj_norm",
+    "int_pairs",
     "is_prime",
     "omega_pow",
     "padic_valuation",
@@ -121,6 +122,15 @@ class CycNum:
         return f"{fmt_q(self.a)} {sign} {mag}"
 
     __repr__ = __str__
+
+
+def int_pairs(terms):
+    """(D, [(k, x, y), ...]) for (k, c) terms, with each c = (x + y w) / D
+    over one common denominator D: the ints the exact kernels loop on."""
+    d = math.lcm(*(den(z) for _, c in terms for z in (c.a, c.b)))
+    return d, [
+        (k, num(c.a) * (d // den(c.a)), num(c.b) * (d // den(c.b))) for k, c in terms
+    ]
 
 
 def cyc(x) -> CycNum:

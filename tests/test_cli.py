@@ -1,12 +1,12 @@
 import contextlib
 import io
 import json
-from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moduliq.cli import run
+from moduliq.lattices import WALK_LIMIT
 from moduliq.qseries import TERM_LIMIT
 
 
@@ -184,6 +184,21 @@ def test_term_limit_bounds_the_series_subcommands(capsys):
         assert _capture(capsys, [*argv, "--prec", "1e18"])[1] == 1
 
 
+def test_walk_limit_bounds_the_enumerating_subcommands(capsys):
+    # theta to q^(10^9) and the theta walks of the Borcherds inputs used to
+    # run for hours; each walk now stops at WALK_LIMIT leaves
+    for argv in (
+        ["theta", "--lattice", "E6", "--prec", "1e9"],
+        ["theta", "--lattice", "A1", "--prec", "1e18"],
+        ["ma-input", "--prec", "100"],
+        ["borcherds", "--input", "ma", "--prec", "100"],
+        ["borcherds", "--input", "e4delta", "--prec", "100"],
+    ):
+        line = _usage_error(capsys, argv)
+        assert line.startswith("error: ") and line.endswith(f" walk leaves exceed WALK_LIMIT = {WALK_LIMIT}")
+        assert int(line.split()[1]) > WALK_LIMIT
+
+
 def test_unwritable_out_file(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "t9.json"
     line = _usage_error(capsys, ["t9", "--out", str(target)])
@@ -275,19 +290,37 @@ _COSETS = st.one_of(
 )
 
 
-@settings(max_examples=60)
-@given(_PRECS, _COSETS)
-def test_theta_input_fuzz(prec, coset):
-    try:
-        # the enumeration has no work bound yet, so leave out large precisions
-        assume(Fraction(prec) <= 6)
-    except (ValueError, ZeroDivisionError):
-        pass
+def _exits_cleanly(argv):
+    """Exit 0, or exit 1 with one 'error:' line; never a traceback."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        _result, code = run(["theta", "--lattice", "E6", "--prec", prec, "--coset", coset])
+        _result, code = run(argv)
     assert code in (0, 1)
     assert "Traceback" not in err.getvalue()
     if code == 1:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+
+
+# every work bound is in place, so any precision may be drawn
+@settings(max_examples=60)
+@given(_PRECS, _COSETS)
+def test_theta_input_fuzz(prec, coset):
+    _exits_cleanly(["theta", "--lattice", "E6", "--prec", prec, "--coset", coset])
+
+
+# the other subcommands that read --prec
+_PREC_ARGVS = (
+    ("eisenstein", "--weight", "10", "--label", "1,0"),
+    ("obstruction",),
+    ("borcherds", "--input", "ma"),
+    ("borcherds", "--input", "delta"),
+    ("borcherds", "--input", "e4delta"),
+    ("ma-input",),
+)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(_PREC_ARGVS), _PRECS)
+def test_prec_input_fuzz(argv, prec):
+    _exits_cleanly([*argv, "--prec", prec])

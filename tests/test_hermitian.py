@@ -1,5 +1,6 @@
 import pytest
 
+from hermitian_oracle import reflection, trace_gram
 from moduliq import qq
 from moduliq.hermitian import (
     basis_minus_one_vector,
@@ -104,3 +105,26 @@ def test_reflection_rejects_bad_inputs():
     bad = tuple(CYC_ONE for _ in range(10))  # not a (-1)-vector
     with pytest.raises(ValueError):
         unitary_reflection(lat, bad, -OMEGA)
+
+
+UNITS = (OMEGA, OMEGA * OMEGA, -OMEGA, -(OMEGA * OMEGA), -CYC_ONE)
+
+
+def test_reflections_match_the_cycnum_oracle():
+    lat = eisenstein_hermitian_lattice()
+    w = OMEGA
+    # a (-1)-vector with five nonzero coordinates, one of them sqrt(-3)
+    spread = tuple(
+        cyc(x) for x in (-1, CYC_ONE + 2 * w, 1, 1, 0, 0, w, 0, 0, 0)
+    )
+    for ell in (basis_minus_one_vector(lat), spread):
+        assert lat.inner(ell, ell) == -CYC_ONE
+        for xi in UNITS:
+            rep = unitary_reflection(lat, ell, xi)
+            got = (rep.preserves_lattice, rep.preserves_form, rep.order, rep.matrix)
+            assert got == reflection(lat.gram, ell, xi), (ell, xi)
+
+
+def test_trace_lattice_matches_the_cycnum_oracle():
+    for h in (eisenstein_hermitian_lattice(), HermLattice(((CYC_ONE,),))):
+        assert trace_lattice(h).gram == trace_gram(h.gram)

@@ -69,7 +69,7 @@ def test_discriminant_lifts_are_reduced_generators():
 def test_discriminant_group_of_a_skewed_e8_basis():
     # a unimodular change of basis of E8 whose Smith transforms grow to
     # millions of bits; the group must still come out trivial, quickly, and
-    # its LDL pivots carry the largest denominators the walk meets
+    # the walk in its LLL-reduced basis must find the E8 theta series
     gram = [
         [-12, 2, 1, 0, -1, 0, -21, -3],
         [2, -16, -1, 9, 11, 7, 2, 0],

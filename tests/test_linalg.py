@@ -1,6 +1,8 @@
-"""The field elimination of ``_linalg`` against oracles written here: the
+"""The eliminations of ``_linalg`` against oracles written here: the
 Leibniz sum for determinants, the largest nonzero minor for ranks, and
-A^-1 A = I for inverses; on small integer matrices over Q and over Q(w)."""
+A^-1 A = I for inverses, on small integer matrices over Q and over Q(w);
+and the integral LLL against its defining conditions, with every
+Gram-Schmidt quantity recomputed as a determinant."""
 
 import itertools
 
@@ -9,7 +11,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from moduliq import qq
-from moduliq._linalg import det_field, mat_identity, mat_inverse, mat_mul, rank_field
+from moduliq._linalg import (
+    det_field,
+    inertia,
+    lll,
+    mat_identity,
+    mat_inverse,
+    mat_mul,
+    mat_transpose,
+    rank_field,
+)
+from moduliq.lattices import build_standard
 from moduliq.scalars import CYC_ONE, CYC_ZERO, CycNum
 
 # field name -> (one, zero, the element a + b*w, or a over Q)
@@ -84,3 +96,94 @@ def test_mat_inverse_inverts_or_refuses(case):
 
 def test_empty_matrix_has_rank_zero():
     assert rank_field([], qq(1), qq(0)) == 0
+
+
+# ---------------------------------------------------------------------------
+# integral LLL
+
+
+def minor(g, rows, k):
+    """det of the Gram entries g[r][c], r in rows, c < k, as a rational."""
+    if not rows:
+        return qq(1)
+    return det_field([[qq(g[r][c]) for c in range(k)] for r in rows], qq(1), qq(0))
+
+
+def check_lll(g):
+    """The LLL conditions on lll(g), with d and lam recomputed as minors:
+    d_i is the leading i x i minor of the reduced Gram, and lam_kj the minor
+    on rows 0..j-1, k and columns 0..j."""
+    n = len(g)
+    reduced, t, t_inv, d, lam = lll(g)
+    assert reduced == mat_mul(mat_mul(t, g, 0), mat_transpose(t), 0)
+    assert mat_mul(t, t_inv, 0) == mat_identity(n, 1, 0)
+    assert d == [minor(reduced, range(i), i) for i in range(n + 1)]
+    for k in range(n):
+        for j in range(k):
+            assert lam[k][j] == minor(reduced, [*range(j), k], j + 1)
+            assert 2 * abs(lam[k][j]) <= d[j + 1]  # size-reduced
+        if k:
+            # Lovasz with delta = 3/4
+            assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2
+
+
+@st.composite
+def unimodular(draw, n):
+    """A product of up to 12 shears e_i -> e_i + r e_j, swaps and sign flips."""
+    u = mat_identity(n, 1, 0)
+    for _ in range(draw(st.integers(0, 12)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        move = draw(st.sampled_from(("shear", "swap", "flip")))
+        if move == "shear":
+            r = draw(st.sampled_from((-2, -1, 1, 2)))
+            u[i] = [a + r * b for a, b in zip(u[i], u[j])]
+        elif move == "swap":
+            u[i], u[j] = u[j], u[i]
+        else:
+            u[i] = [-a for a in u[i]]
+    return u
+
+
+@st.composite
+def skewed_root_lattices(draw):
+    """U (-G) U^T for G one of E8, E6, A2, E6+A2 and U unimodular."""
+    g = [[-int(x) for x in row] for row in build_standard(draw(st.sampled_from(("E8", "E6", "A2", "E6+A2")))).gram]
+    u = draw(unimodular(len(g)))
+    return mat_mul(mat_mul(u, g, 0), mat_transpose(u), 0)
+
+
+@given(skewed_root_lattices())
+def test_lll_on_skewed_root_lattices(g):
+    check_lll(g)
+
+
+@st.composite
+def symmetric_grams(draw):
+    """B B^T for an integer B of rank <= 4 (definite or degenerate), or a
+    symmetric integer matrix of any inertia."""
+    n = draw(st.integers(1, 4))
+    entries = st.integers(-3, 3)
+    if draw(st.booleans()):
+        b = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+        return mat_mul(b, mat_transpose(b), 0)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(entries)
+    return g
+
+
+@given(symmetric_grams())
+def test_lll_reduces_definite_grams_and_refuses_the_rest(g):
+    if inertia(g) == (len(g), 0, 0):
+        check_lll(g)
+    else:
+        with pytest.raises(ValueError, match="^Gram matrix is not positive definite$"):
+            lll(g)
+
+
+def test_lll_edge_cases():
+    assert lll([]) == ([], [], [], [1], [])
+    for g in ([[0, 1], [1, 0]], [[1, 1], [1, 1]], [[2, 1], [1, -1]], [[0]]):
+        with pytest.raises(ValueError):
+            lll(g)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from box_oracle import box_norm_counts, norm_ladder
 from moduliq import qq, shortvec
-from moduliq._rational import mod_q
+from moduliq._linalg import mat_identity, mat_mul, mat_transpose
+from moduliq._rational import is_integer, mod_q
 from moduliq.lattices import Lattice, build_standard, discriminant_group
 from moduliq.modforms import theta_series
 from moduliq.scalars import cyc
@@ -171,3 +172,105 @@ def test_walk_against_box_search(lat):
         for norm in norms:
             assert count_coset_vectors(lat, el, norm) == box.get(norm, 0)
         assert counts == box
+
+
+# ---------------------------------------------------------------------------
+# the reduced, sign-folded walk on skewed bases
+
+
+@st.composite
+def shears(draw, n, most=12):
+    """A unimodular U: up to `most` moves e_i -> e_i + r e_j and sign flips."""
+    u = mat_identity(n, 1, 0)
+    for _ in range(draw(st.integers(0, most))):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 1))
+        r = draw(st.sampled_from((-2, -1, 1, 2)))
+        if i == j:
+            u[i] = [-a for a in u[i]]
+        else:
+            u[i] = [a + r * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def skew(lat, u):
+    """The lattice on the basis U e: Gram U G U^T."""
+    gram = mat_mul(mat_mul(u, lat.gram, qq(0)), mat_transpose(u), qq(0))
+    return Lattice(tuple(tuple(qq(x) for x in row) for row in gram))
+
+
+def to_standard(y, u):
+    """Coordinates on e of the vector with coordinates y on U e."""
+    return tuple(sum(a * row[j] for a, row in zip(y, u)) for j in range(len(u)))
+
+
+def matching_coset(lat, skewed, u, el):
+    """The coset of lat holding the coset el of skewed."""
+    disc = discriminant_group(lat)
+    x = to_standard(discriminant_group(skewed).lift(el), u)
+    return next(
+        e for e in disc.elements() if all(is_integer(a - b) for a, b in zip(x, disc.lift(e)))
+    )
+
+
+def check_against_standard(lat, u, lowest, cosets=None):
+    """Every walk of the skewed basis, coset by coset, equals the walk of the
+    standard basis: the histogram, each single-norm count, and the vectors
+    of the first nonzero shell mapped by U."""
+    skewed = skew(lat, u)
+    disc = discriminant_group(skewed)
+    for el in cosets or disc.elements():
+        std = matching_coset(lat, skewed, u, el)
+        counts = coset_norm_counts(skewed, el, lowest)
+        assert counts == coset_norm_counts(lat, std, lowest)
+        for norm, cnt in counts.items():
+            assert count_coset_vectors(skewed, el, norm) == cnt
+        shell = max((norm for norm in counts if norm), default=None)
+        if shell is not None:
+            vecs = coset_vectors(skewed, el, shell)
+            assert len(vecs) == counts[shell] and vecs == sorted(vecs)
+            assert sorted(to_standard(v, u) for v in vecs) == coset_vectors(lat, std, shell)
+
+
+@settings(max_examples=12)
+@given(st.sampled_from(("E8", "E6", "A2", "E6+A2")).flatmap(
+    lambda name: st.tuples(st.just(name), shears(build_standard(name).rank))
+))
+def test_skewed_root_lattices_against_the_standard_basis(case):
+    name, u = case
+    check_against_standard(build_standard(name), u, -4)
+
+
+# even forms with an element of order 2 in A_M (of order 10, 14, 22, and
+# times 3 with an A2): its coset is its own negative without being M, so the
+# fold runs with no zero vector
+SELF_OPPOSITE = [
+    [[-10]],
+    [[-14]],
+    [[-22]],
+    [[-2, 1, 0], [1, -2, 1], [0, 1, -4]],
+    [[-10, 0, 0], [0, -2, 1], [0, 1, -2]],
+    [[-14, 0, 0], [0, -2, 1], [0, 1, -2]],
+    [[-22, 0, 0], [0, -2, 1], [0, 1, -2]],
+]
+
+
+@settings(max_examples=12)
+@given(st.sampled_from(SELF_OPPOSITE).flatmap(
+    lambda gram: st.tuples(st.just(gram), shears(len(gram), most=4))
+))
+def test_fold_on_self_opposite_cosets(case):
+    gram, u = case
+    lat = Lattice(tuple(tuple(qq(x) for x in row) for row in gram))
+    disc = discriminant_group(lat)
+    halves = [el for el in disc.elements() if el != disc.zero() and disc.add(el, el) == disc.zero()]
+    assert halves
+    for el in [disc.zero(), *halves]:
+        counts = coset_norm_counts(lat, el, -8)
+        assert counts == box_norm_counts(lat, el, -8)
+        assert (counts.get(0) == 1) == (el == disc.zero())
+    skewed = skew(lat, u)
+    sk = discriminant_group(skewed)
+    check_against_standard(
+        lat, u, -8, [el for el in sk.elements() if sk.add(el, el) == sk.zero()]
+    )
