@@ -128,10 +128,11 @@ def check_lll(g):
 
 
 @st.composite
-def unimodular(draw, n):
-    """A product of up to 12 shears e_i -> e_i + r e_j, swaps and sign flips."""
+def unimodular(draw, n, most=12):
+    """A product of up to `most` shears e_i -> e_i + r e_j, swaps and sign
+    flips."""
     u = mat_identity(n, 1, 0)
-    for _ in range(draw(st.integers(0, 12)) if n > 1 else 0):
+    for _ in range(draw(st.integers(0, most)) if n > 1 else 0):
         i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         move = draw(st.sampled_from(("shear", "swap", "flip")))
         if move == "shear":

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from box_oracle import box_norm_counts, norm_ladder
+from test_linalg import unimodular
 from moduliq import qq, shortvec
-from moduliq._linalg import mat_identity, mat_mul, mat_transpose
+from moduliq._linalg import mat_mul, mat_transpose
 from moduliq._rational import is_integer, mod_q
 from moduliq.lattices import Lattice, build_standard, discriminant_group
 from moduliq.modforms import theta_series
@@ -178,21 +179,6 @@ def test_walk_against_box_search(lat):
 # the reduced, sign-folded walk on skewed bases
 
 
-@st.composite
-def shears(draw, n, most=12):
-    """A unimodular U: up to `most` moves e_i -> e_i + r e_j and sign flips."""
-    u = mat_identity(n, 1, 0)
-    for _ in range(draw(st.integers(0, most))):
-        i = draw(st.integers(0, n - 1))
-        j = draw(st.integers(0, n - 1))
-        r = draw(st.sampled_from((-2, -1, 1, 2)))
-        if i == j:
-            u[i] = [-a for a in u[i]]
-        else:
-            u[i] = [a + r * b for a, b in zip(u[i], u[j])]
-    return u
-
-
 def skew(lat, u):
     """The lattice on the basis U e: Gram U G U^T."""
     gram = mat_mul(mat_mul(u, lat.gram, qq(0)), mat_transpose(u), qq(0))
@@ -234,7 +220,7 @@ def check_against_standard(lat, u, lowest, cosets=None):
 
 @settings(max_examples=12)
 @given(st.sampled_from(("E8", "E6", "A2", "E6+A2")).flatmap(
-    lambda name: st.tuples(st.just(name), shears(build_standard(name).rank))
+    lambda name: st.tuples(st.just(name), unimodular(build_standard(name).rank))
 ))
 def test_skewed_root_lattices_against_the_standard_basis(case):
     name, u = case
@@ -257,7 +243,7 @@ SELF_OPPOSITE = [
 
 @settings(max_examples=12)
 @given(st.sampled_from(SELF_OPPOSITE).flatmap(
-    lambda gram: st.tuples(st.just(gram), shears(len(gram), most=4))
+    lambda gram: st.tuples(st.just(gram), unimodular(len(gram), most=4))
 ))
 def test_fold_on_self_opposite_cosets(case):
     gram, u = case
