@@ -81,40 +81,35 @@ def _walk(lattice: Lattice, center, bound):
         if work > WALK_LIMIT:
             raise ValueError(f"{work} walk leaves exceed WALK_LIMIT = {WALK_LIMIT}")
 
+    def rec(i, budget, weight):
+        # W = q^2 z + t, and D_i W^2 <= budget iff |W| <= isqrt(budget // D_i)
+        t = q * cc[i] + sum(map(mul, uu[i], xx[i + 1 :]))
+        r = math.isqrt(budget // dd[i])
+        if i == 1:
+            # the leaves under a level-1 range: at most its length times the
+            # widest level-0 range
+            charge(((r - t) // q2 + (r + t) // q2 + 1) * (2 * math.isqrt(budget // dd[0]) // q2 + 1))
+        # Weight 0 marks the fold: when 2c is in M, x -> -x maps the coset to
+        # itself and every W to -W, so only W_i >= 0 is walked while the
+        # outer W are 0.  A leaf below some W > 0 stands for x and -x, and
+        # the leaf with every W = 0 is the zero vector.
+        for z in range(-(t // q2) if weight == 0 else -((r + t) // q2), (r - t) // q2 + 1):
+            w = q2 * z + t
+            rest = budget - dd[i] * w * w
+            vec[i] = z
+            if i:
+                xx[i] = q * z + cc[i]
+                yield from rec(i - 1, rest, weight or (2 if w else 0))
+            else:
+                yield vec, rest, weight or (2 if w else 1)
+
     scale = q**5 * s
     top = -num(bound) * (scale // den(bound))
     if n == 0:
         return scale, basis, iter([(vec, top, 1)])
     if n == 1:
         charge(2 * math.isqrt(top // dd[0]) // q2 + 1)
-    walk = (q, q2, dd, uu, cc, xx, vec, charge)
-    return scale, basis, _descend(walk, n - 1, top, 0 if 2 % m == 0 else 1)
-
-
-def _descend(walk, i, budget, weight):
-    """The leaves of ``_walk`` under level i: a module-level generator, so
-    that a finished walk leaves no reference cycle behind."""
-    q, q2, dd, uu, cc, xx, vec, charge = walk
-    # W = q^2 z + t, and D_i W^2 <= budget iff |W| <= isqrt(budget // D_i)
-    t = q * cc[i] + sum(map(mul, uu[i], xx[i + 1 :]))
-    r = math.isqrt(budget // dd[i])
-    if i == 1:
-        # the leaves under a level-1 range: at most its length times the
-        # widest level-0 range
-        charge(((r - t) // q2 + (r + t) // q2 + 1) * (2 * math.isqrt(budget // dd[0]) // q2 + 1))
-    # Weight 0 marks the fold: when 2c is in M, x -> -x maps the coset to
-    # itself and every W to -W, so only W_i >= 0 is walked while the outer W
-    # are 0.  A leaf below some W > 0 stands for x and -x, and the leaf with
-    # every W = 0 is the zero vector.
-    for z in range(-(t // q2) if weight == 0 else -((r + t) // q2), (r - t) // q2 + 1):
-        w = q2 * z + t
-        rest = budget - dd[i] * w * w
-        vec[i] = z
-        if i:
-            xx[i] = q * z + cc[i]
-            yield from _descend(walk, i - 1, rest, weight or (2 if w else 0))
-        else:
-            yield vec, rest, weight or (2 if w else 1)
+    return scale, basis, rec(n - 1, top, 0 if 2 % m == 0 else 1)
 
 
 def _resolve_coset(disc: DiscGroup, coset):
