@@ -177,15 +177,16 @@ def unitary_reflection(h: HermLattice, ell, xi) -> ReflectionReport:
     # matrix is S / D with S_ij = D delta_ij + (1 - xi) P_j ell_i.
     d, gram = _pair_rows(h.gram)
     ell = [(num(x.a), num(x.b)) for x in ell]
-    p = [_pair_dot(row, [(a - b, -b) for a, b in ell]) for row in gram]
+    conj_ell = [(a - b, -b) for a, b in ell]
+    p = [_pair_dot(row, conj_ell) for row in gram]
     if _pair_dot(ell, p) != (-d, 0):
         raise ValueError("ell must be a (-1)-vector")
     twist = (1 - num(xi.a), -num(xi.b))  # 1 - xi
     up = [_pair_mul(twist, x) for x in p]
     s = [[_pair_mul(e, x) for x in up] for e in ell]
-    for i in range(len(s)):
-        s[i][i] = (s[i][i][0] + d, s[i][i][1])
     n = h.rank
+    for i in range(n):
+        s[i][i] = (s[i][i][0] + d, s[i][i][1])
     matrix = tuple(tuple(CycNum(qq(x, d), qq(y, d)) for x, y in row) for row in s)
     preserves_lattice = all(x % d == 0 and y % d == 0 for row in s for x, y in row)
     # form preservation, h(sigma e_i, sigma e_j) = h(e_i, e_j): S^T H conj(S) = D^2 H
