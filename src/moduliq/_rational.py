@@ -34,9 +34,17 @@ else:
 
 
 def qq(x, y=None):
-    """Coerce to the backend rational type."""
+    """Coerce to the backend rational type.
+
+    ``qq(x, y)`` is the rational x / y of two ints, built and reduced in one
+    step (``ZeroDivisionError`` for y = 0).  ``qq(x)`` returns a backend
+    rational as it is, parses a string such as ``"3/6"``, and converts an
+    int or any other rational.
+    """
     if y is not None:
-        return QQ(x) / QQ(y)
+        return QQ(x, y)
+    if type(x) is QQ:
+        return x
     if isinstance(x, str):
         return QQ(Fraction(x))
     return QQ(x)

@@ -13,7 +13,7 @@ from functools import lru_cache
 from ._rational import as_int, fmt_q, is_integer, mod_q, qq
 from .lattices import Lattice, build_standard, discriminant_group
 from .modforms import VVForm, obstruction_cusp_basis, obstruction_eisenstein, theta_series
-from .qseries import inverse_delta
+from .qseries import check_terms, cutoff, inverse_delta
 from .shortvec import count_coset_vectors, root_data
 
 __all__ = [
@@ -101,13 +101,21 @@ def delta_inverse_form(prec) -> VVForm:
     return VVForm({"00": inverse_delta(prec)}, weight=qq(-12), rep="rho")
 
 
+def _refuse_inverse_delta(prec):
+    """Raise what inverse_delta(prec) would raise, without building it: the
+    TERM_LIMIT error on its cutoff(prec + 1) coefficients, or the zero series
+    that Delta is when that count is not positive."""
+    if check_terms(cutoff(prec + 1, 1)) <= 0:
+        raise ZeroDivisionError("cannot invert the zero series")
+
+
 def e4_over_delta_form(prec) -> VVForm:
     """theta_E8 / Delta = E4/Delta on a unimodular lattice of signature (2,18)."""
     prec = qq(prec)
-    inv_d = inverse_delta(prec + 1)  # first: it checks prec against TERM_LIMIT
+    _refuse_inverse_delta(prec + 1)  # before the walk, which has its own limit
     theta = theta_series(build_standard("E8"), None, prec + 2)
     return VVForm(
-        {"00": (theta * inv_d).truncate(prec)},
+        {"00": (theta * inverse_delta(prec + 1)).truncate(prec)},
         weight=qq(-8),
         rep="rho",
     )
@@ -126,11 +134,12 @@ def ma_input(prec) -> VVForm:
     a2 = build_standard("A2")
     e6 = build_standard("E6")
     margin = prec + 2
-    inv_d = inverse_delta(margin)  # first: it checks prec against TERM_LIMIT
+    _refuse_inverse_delta(margin)  # before the walks, which have their own limit
     th_a2 = theta_series(a2, None, margin)
     th_a2_1 = theta_series(a2, (1,), margin)
     th_e6 = theta_series(e6, None, margin)
     th_e6_1 = theta_series(e6, (1,), margin)
+    inv_d = inverse_delta(margin)
     comps = {
         "00": (th_a2 * th_e6 * inv_d).truncate(prec),
         "0": (th_e6_1 * th_a2_1 * inv_d).truncate(prec),

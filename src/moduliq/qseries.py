@@ -8,12 +8,16 @@ q^(k/N) on a fixed grid N.
 Powers, inverses and eta products all come from one recurrence in
 ``QSeries.pow``: J.C.P. Miller's power formula (Knuth, TAOCP vol. 2, 4.7).
 
-The hot loops (``__mul__`` and ``pow``) run on Python int pairs (x, y)
-meaning (x + y w) / D over one common denominator D: each input
-coefficient is scaled once, the loop uses w^2 = -1 - w, and each output
-coefficient becomes one ``CycNum`` of two rationals.  In ``pow`` the
-denominator rolls: it grows only at a step whose division is not exact,
-and stays 1 for an integral series with a unit leading coefficient.
+Every kernel that makes new coefficients (``__mul__``, ``pow``, ``scale``
+and ``__add__``, hence also ``__sub__``, ``__radd__`` and division by a
+scalar) runs on Python int pairs (x, y) meaning (x + y w) / D over one
+common denominator D: each input coefficient is scaled once, the loop uses
+w^2 = -1 - w, and each output coefficient becomes one ``CycNum`` of two
+rationals, each built in one step.  In ``pow`` the denominator rolls: it
+grows only at a step whose division is not exact, and stays 1 for an
+integral series with a unit leading coefficient.  ``truncate`` slices the
+sorted terms and ``coeff`` finds its key with int arithmetic, so neither
+touches a coefficient.
 
 No kernel computes more than ``TERM_LIMIT`` coefficients, so a precision
 that would take hours is refused at once.
@@ -48,6 +52,17 @@ def check_terms(count: int) -> int:
     if count > TERM_LIMIT:
         raise ValueError(f"{count} terms exceed TERM_LIMIT = {TERM_LIMIT}")
     return count
+
+
+def _key(term) -> int:
+    return term[0]
+
+
+def _pair_terms(re: dict, im: dict, d: int) -> tuple:
+    """Sorted (k, CycNum) terms of the nonzero (re[k] + im[k] w) / d."""
+    return tuple(
+        (k, CycNum(qq(x, d), qq(im[k], d))) for k, x in sorted(re.items()) if x or im[k]
+    )
 
 
 @dataclass(frozen=True)
@@ -109,11 +124,11 @@ class QSeries:
             raise PrecisionError(
                 f"coefficient at q^{fmt_q(e)} is beyond the truncation {fmt_q(qq(self.trunc))}"
             )
-        scaled = e * self.n_den
-        if den(scaled) != 1:
+        # e = num/den in lowest terms lies on the grid iff den divides n_den
+        if self.n_den % den(e):
             return CYC_ZERO
-        k = num(scaled)
-        i = bisect.bisect_left(self.terms, k, key=lambda kv: kv[0])
+        k = num(e) * (self.n_den // den(e))
+        i = bisect.bisect_left(self.terms, k, key=_key)
         if i < len(self.terms) and self.terms[i][0] == k:
             return self.terms[i][1]
         return CYC_ZERO
@@ -122,16 +137,27 @@ class QSeries:
         f = n_den // self.n_den
         return {k * f: c for k, c in self.terms}
 
+    def _below(self, trunc) -> tuple:
+        """The terms with exponent below trunc."""
+        return self.terms[: bisect.bisect_left(self.terms, cutoff(trunc, self.n_den), key=_key)]
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
             other = QSeries.monomial(other, 0, self.trunc)
         n = math.lcm(self.n_den, other.n_den)
-        a = self._regrid(n)
-        for k, c in other._regrid(n).items():
-            a[k] = a.get(k, CYC_ZERO) + c
-        return QSeries.make(n, a, min(self.trunc, other.trunc))
+        trunc = min(self.trunc, other.trunc)
+        da, pa = int_pairs(self._below(trunc))
+        db, pb = int_pairs(other._below(trunc))
+        d = math.lcm(da, db)
+        re, im = {}, {}
+        for f, g, pairs in ((n // self.n_den, d // da, pa), (n // other.n_den, d // db, pb)):
+            for k, x, y in pairs:
+                k *= f
+                re[k] = re.get(k, 0) + x * g
+                im[k] = im.get(k, 0) + y * g
+        return QSeries(n, _pair_terms(re, im, d), trunc)
 
     __radd__ = __add__
 
@@ -150,9 +176,15 @@ class QSeries:
         c = cyc(c)
         if c.is_zero():
             return QSeries.zero(self.trunc, self.n_den)
-        return QSeries(
-            self.n_den, tuple((k, c * v) for k, v in self.terms), self.trunc
+        cd, ((_, cx, cy),) = int_pairs([(0, c)])
+        d, pairs = int_pairs(self.terms)
+        d *= cd
+        # (x + y w)(cx + cy w) = (x cx - y cy) + (x cy + y cx - y cy) w
+        terms = tuple(
+            (k, CycNum(qq(x * cx - y * cy, d), qq(x * cy + y * (cx - cy), d)))
+            for k, x, y in pairs
         )
+        return QSeries(self.n_den, terms, self.trunc)
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
@@ -178,13 +210,7 @@ class QSeries:
                 yy = ya * yb
                 re[k] = re.get(k, 0) + xa * xb - yy
                 im[k] = im.get(k, 0) + xa * yb + ya * xb - yy
-        d = da * db
-        terms = tuple(
-            (k, CycNum(qq(x, d), qq(im[k], d)))
-            for k, x in sorted(re.items())
-            if x or im[k]
-        )
-        return QSeries(n, terms, trunc)
+        return QSeries(n, _pair_terms(re, im, da * db), trunc)
 
     __rmul__ = __mul__
 
@@ -203,7 +229,7 @@ class QSeries:
         trunc = qq(trunc)
         if trunc > self.trunc:
             raise PrecisionError("cannot extend a truncated series")
-        return QSeries.make(self.n_den, dict(self.terms), trunc)
+        return QSeries(self.n_den, self._below(trunc), trunc)
 
     def pow(self, m: int) -> "QSeries":
         """self^m for every integer m; m <= 0 needs a nonzero series.

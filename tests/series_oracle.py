@@ -24,6 +24,32 @@ def _nonzero(coeffs):
     return {e: c for e, c in coeffs.items() if not c.is_zero()}
 
 
+def scale(a, ta, c):
+    """c times each coefficient of a."""
+    return _nonzero({e: c * x for e, x in a.items()}), ta
+
+
+def add(a, ta, b, tb):
+    """a + b, known below min(ta, tb)."""
+    trunc = min(ta, tb)
+    out = {}
+    for e, x in [*a.items(), *b.items()]:
+        if e < trunc:
+            out[e] = out.get(e, ZERO) + x
+    return _nonzero(out), trunc
+
+
+def truncate(a, ta, trunc):
+    """a known below trunc <= ta."""
+    assert trunc <= ta
+    return {e: x for e, x in a.items() if e < trunc}, trunc
+
+
+def coeff(a, ta, e):
+    """The coefficient at q^e, or None at or beyond the truncation ta."""
+    return a.get(e, ZERO) if e < ta else None
+
+
 def mul(a, ta, b, tb):
     """Product of a (known below ta) and b (known below tb), with the
     truncation min(ta + lead(b), tb + lead(a)); an empty series leads at

@@ -1,6 +1,6 @@
 import pytest
 
-from moduliq import qq
+from moduliq import borcherds, qq
 from moduliq.borcherds import (
     HeegnerCombo,
     ball_divisor,
@@ -12,7 +12,7 @@ from moduliq.borcherds import (
     quasi_pullback,
 )
 from moduliq.lattices import build_standard
-from moduliq.qseries import QSeries
+from moduliq.qseries import QSeries, inverse_delta
 from moduliq.modforms import VVForm
 
 
@@ -39,6 +39,35 @@ def test_e4_over_delta_lift():
     weight, divisor = lift_weight_divisor(form)
     assert weight == 132
     assert divisor.as_dict() == {("00", qq(-2)): qq(1)}
+
+
+def _refusal(call, *args):
+    with pytest.raises((ValueError, ZeroDivisionError)) as info:
+        call(*args)
+    return info.type, str(info.value)
+
+
+def test_refusal_matches_inverse_delta():
+    # the counts around TERM_LIMIT that are refused: building 1/Delta to
+    # 2000 terms takes a second
+    for prec in [qq(k, 6) for k in range(-30, 31)] + [qq(11995, 6), 2000, 10**6]:
+        try:
+            inverse_delta(prec)
+        except (ValueError, ZeroDivisionError) as exc:
+            assert _refusal(borcherds._refuse_inverse_delta, prec) == (type(exc), str(exc))
+        else:
+            borcherds._refuse_inverse_delta(prec)
+
+
+def test_walk_limit_refused_before_inverse_delta(monkeypatch):
+    def never(prec):
+        raise AssertionError("1/Delta built before the walks")
+
+    monkeypatch.setattr(borcherds, "inverse_delta", never)
+    for form, terms in ((ma_input, 1_000_003), (e4_over_delta_form, 1_000_002)):
+        assert _refusal(form, 1990) == (ValueError, "204090 walk leaves exceed WALK_LIMIT = 200000")
+        assert _refusal(form, 10**6) == (ValueError, f"{terms} terms exceed TERM_LIMIT = 2000")
+        assert _refusal(form, -5) == (ZeroDivisionError, "cannot invert the zero series")
 
 
 def test_ma_input_components():

@@ -39,14 +39,18 @@ RECORDS = (
     "eisenstein --weight 2 --label 1,0",
     "eisenstein --weight 6 --label 0,1",
     "eisenstein --weight 10 --label 1,0",
+    "eisenstein --weight 10 --label 1,2 --prec 20",
     "obstruction",
+    "obstruction --prec 14",
     "borcherds",
     "borcherds --input ma",
     "borcherds --input delta",
     "borcherds --input e4delta",
+    "borcherds --input e4delta --prec 4",
     "quasi-pullback --lattice E6+A2",
     "quasi-pullback --lattice E8",
     "ma-input",
+    "ma-input --prec 4",
     "kirwan",
     "betti --space MK",
     "betti --space tor",

@@ -1,7 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from test_linalg import unimodular
+from test_shortvec import skew
 from moduliq import qq
 from moduliq._linalg import mat_vec
 from moduliq._rational import is_integer
@@ -248,6 +252,32 @@ def test_disc_form_isomorphism():
     assert not disc_forms_isomorphic(a2, a2_pos)
     assert not disc_forms_isomorphic(a2, a2, flip_sign=True)
     assert disc_forms_isomorphic(a2, a2_pos, flip_sign=True)
+
+
+# discriminant forms of order 2 to 9, well within ISO_LIMIT; A2(-1) and E6
+# carry the form of A2 with q negated, and E6+A2 carries the form of U(3).
+# The search takes up to 3 s to refuse an order-27 pair, so none is drawn.
+ISO_POOL = ("A1", "A1+A1", "A2", "A2(-1)", "E6", "A2+A2", "E6+A2", "U(3)")
+
+
+@st.composite
+def skewed_pool_lattices(draw):
+    """(a lattice of ISO_POOL, the same lattice on a random basis)."""
+    lat = build_standard(draw(st.sampled_from(ISO_POOL)))
+    return lat, skew(lat, draw(unimodular(lat.rank)))
+
+
+@given(skewed_pool_lattices(), st.sampled_from(ISO_POOL), st.booleans())
+def test_disc_form_isomorphism_is_a_basis_free_equivalence(case, other_name, flip_sign):
+    lat, skewed = case
+    other = build_standard(other_name)
+    for m in (lat, skewed):
+        assert disc_forms_isomorphic(m, m)
+    assert disc_forms_isomorphic(lat, skewed) and disc_forms_isomorphic(skewed, lat)
+    expected = disc_forms_isomorphic(lat, other, flip_sign)
+    assert disc_forms_isomorphic(other, lat, flip_sign) == expected
+    assert disc_forms_isomorphic(skewed, other, flip_sign) == expected
+    assert disc_forms_isomorphic(other, skewed, flip_sign) == expected
 
 
 def test_census_limits_name_themselves():

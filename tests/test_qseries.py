@@ -1,4 +1,5 @@
 import functools
+import math
 import operator
 import random
 
@@ -15,7 +16,7 @@ from moduliq.qseries import (
     eta_power,
     inverse_delta,
 )
-from moduliq.scalars import CYC_ONE, CycNum
+from moduliq.scalars import CYC_ONE, OMEGA, CycNum, cyc
 from series_oracle import as_dict
 
 
@@ -176,6 +177,63 @@ def test_mul_matches_the_oracle(a, b):
 @given(rational_series(invertible=True), st.integers(-3, 4))
 def test_pow_matches_the_oracle(a, m):
     assert as_dict(a.pow(m)) == series_oracle.power(*as_dict(a), a.n_den, m)
+
+
+# 0, +-1, w, w^2 and random elements of Q(w)
+_SCALARS = st.one_of(st.sampled_from((0, 1, -1, OMEGA, OMEGA * OMEGA)), _COEFF)
+
+
+@given(rational_series(), _SCALARS)
+def test_scale_matches_the_oracle(a, c):
+    expected = series_oracle.scale(*as_dict(a), cyc(c))
+    assert as_dict(a.scale(c)) == expected
+    assert as_dict(a * c) == expected
+    if not isinstance(c, CycNum):
+        assert as_dict(c * a) == expected
+    assert a.scale(c).n_den == a.n_den
+    if not cyc(c).is_zero():
+        assert as_dict(a / c) == series_oracle.scale(*as_dict(a), CYC_ONE / cyc(c))
+
+
+@given(rational_series(), rational_series(), _SCALARS)
+def test_add_and_sub_match_the_oracle(a, b, c):
+    n = math.lcm(a.n_den, b.n_den)
+    negated = series_oracle.scale(*as_dict(b), cyc(-1))
+    assert as_dict(a + b) == series_oracle.add(*as_dict(a), *as_dict(b))
+    assert as_dict(a - b) == series_oracle.add(*as_dict(a), *negated)
+    assert (a + b).n_den == (a - b).n_den == n
+    constant = ({qq(0): cyc(c)}, a.trunc)
+    assert as_dict(a + c) == series_oracle.add(*as_dict(a), *constant)
+    if not isinstance(c, CycNum):
+        assert as_dict(c + a) == as_dict(a + c)
+    assert as_dict(a - c) == series_oracle.add(*as_dict(a), *series_oracle.scale(*constant, cyc(-1)))
+
+
+@given(rational_series(), st.integers(0, 48))
+def test_truncate_matches_the_oracle(a, j):
+    # j / 48 below the truncation: on the grid of a or off it
+    trunc = a.trunc - qq(j, 48)
+    cut = a.truncate(trunc)
+    assert as_dict(cut) == series_oracle.truncate(*as_dict(a), trunc)
+    assert cut.n_den == a.n_den
+    with pytest.raises(PrecisionError):
+        a.truncate(a.trunc + qq(1, 48))
+
+
+@given(rational_series())
+def test_coeff_matches_the_oracle(a):
+    coeffs, trunc = as_dict(a)
+    # every exponent with denominator 1, 2, 3, 5, 24 or 48 from below the
+    # first term up to one past the truncation: on the grid, off it, beyond it
+    for d in (1, 2, 3, 5, 24, 48):
+        for k in range(math.floor((min(coeffs, default=trunc) - 1) * d), math.ceil((trunc + 1) * d)):
+            e = qq(k, d)
+            expected = series_oracle.coeff(coeffs, trunc, e)
+            if expected is None:
+                with pytest.raises(PrecisionError):
+                    a.coeff(e)
+            else:
+                assert a.coeff(e) == expected
 
 
 def test_pow_keeps_relative_precision():

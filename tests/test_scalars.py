@@ -1,9 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from moduliq import qq
+from moduliq._rational import QQ, den, num
 from moduliq.scalars import (
     CYC_ONE,
     OMEGA,
@@ -13,6 +15,29 @@ from moduliq.scalars import (
     cyc_conj_norm,
     padic_valuation,
 )
+
+
+def test_qq_of_two_ints_is_the_reduced_fraction():
+    # signs on either side, zero numerators, and pairs with a common factor
+    for x in range(-12, 13):
+        for y in (-12, -6, -4, -1, 1, 2, 3, 8, 12):
+            r = qq(x, y)
+            assert type(r) is QQ
+            assert r == Fraction(x, y)
+            assert (num(r), den(r)) == (Fraction(x, y).numerator, Fraction(x, y).denominator)
+    with pytest.raises(ZeroDivisionError):
+        qq(1, 0)
+
+
+def test_qq_of_one_value():
+    half = qq(1, 2)
+    assert qq(half) == half
+    assert type(qq(half)) is QQ
+    for text in ("3/6", "-4", "0", "-10/4"):
+        assert qq(text) == QQ(Fraction(text))
+    for n in (-5, 0, 1, 10**30):
+        assert qq(n) == QQ(n) == n
+        assert type(qq(n)) is QQ
 
 
 def test_omega_relation():
