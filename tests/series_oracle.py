@@ -1,23 +1,22 @@
 """Plain Q(w) oracles for the q-series kernels, shared by the test modules.
 
-A series here is a dict {rational exponent: CycNum} known below a rational
-truncation.  Everything is computed with ``CycNum`` arithmetic in double
-loops, on no exponent grid, and shares nothing with the int-pair kernels of
-``moduliq.qseries`` and ``moduliq.modforms``: no common denominator, no
-rolling denominator, no divisor sieve.
+A series here is a dict {rational exponent: Cyc} known below a rational
+truncation.  Everything is computed with the plain reference ``Cyc`` of
+``cyc_oracle`` in double loops, on no exponent grid, and shares nothing with
+the int-pair kernels of ``moduliq.qseries`` and ``moduliq.modforms`` or with
+``moduliq.scalars.CycNum``: no common denominator, no rolling denominator,
+no divisor sieve.
 """
 
+from cyc_oracle import OMEGA, ONE, ZERO, ref
 from moduliq import qq
-from moduliq.scalars import CycNum, OMEGA
 
-ZERO = CycNum(qq(0), qq(0))
-ONE = CycNum(qq(1), qq(0))
 BERNOULLI = {2: qq(1, 6), 6: qq(1, 42), 10: qq(5, 66)}
 
 
 def as_dict(series):
-    """(exponent dict, trunc) of a QSeries."""
-    return {qq(k, series.n_den): c for k, c in series.terms}, series.trunc
+    """(exponent dict of Cyc coefficients, trunc) of a QSeries."""
+    return {qq(k, series.n_den): ref(c) for k, c in series.terms}, series.trunc
 
 
 def _nonzero(coeffs):
@@ -26,6 +25,7 @@ def _nonzero(coeffs):
 
 def scale(a, ta, c):
     """c times each coefficient of a."""
+    c = ref(c)
     return _nonzero({e: c * x for e, x in a.items()}), ta
 
 
@@ -102,16 +102,16 @@ def eisenstein_level3(k, label, prec):
     a1, a2 = label[0] % 3, label[1] % 3
     out = {}
     if a1 == 0:
-        out[qq(0)] = CycNum(-BERNOULLI[k] * (3**k - 1) / (2 * k), qq(0))
+        out[qq(0)] = ref(-BERNOULLI[k] * (3**k - 1) / (2 * k))
     n = 1
     while qq(n, 3) < prec:
         total = ZERO
         for d in range(1, n + 1):
             if n % d == 0:
                 if (n // d) % 3 == a1:
-                    total = total + qq(d) ** (k - 1) * OMEGA ** ((a2 * d) % 3)
+                    total = total + d ** (k - 1) * OMEGA ** ((a2 * d) % 3)
                 if (n // d) % 3 == (-a1) % 3:
-                    total = total + qq((-1) ** k * d ** (k - 1)) * OMEGA ** ((-a2 * d) % 3)
+                    total = total + (-1) ** k * d ** (k - 1) * OMEGA ** ((-a2 * d) % 3)
         out[qq(n, 3)] = total
         n += 1
     return _nonzero(out), qq(prec)

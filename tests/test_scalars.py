@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cyc_oracle import ref
 from moduliq import qq
 from moduliq._rational import QQ, den, num
 from moduliq.scalars import (
@@ -73,6 +76,67 @@ def test_division_and_pow():
     assert (x / x) == CYC_ONE
     assert x ** 3 == x * x * x
     assert x ** -2 == CYC_ONE / (x * x)
+
+
+_QQ = st.builds(qq, st.integers(-6, 6), st.integers(1, 4))
+_CYC = st.builds(CycNum, _QQ, _QQ)
+# both kinds of rational operand next to the elements of Q(w)
+_OPERAND = st.one_of(_CYC, st.integers(-3, 3), _QQ)
+
+
+def _same(got, want):
+    """got is the CycNum of the reference value want, with backend coordinates."""
+    assert isinstance(got, CycNum)
+    assert ref(got) == want
+    assert type(got.a) is QQ and type(got.b) is QQ
+    assert str(got) == str(want)
+
+
+@given(_CYC, _OPERAND)
+def test_cycnum_agrees_with_the_reference(x, y):
+    rx, ry = ref(x), ref(y)
+    for got, want in (
+        (x + y, rx + ry), (y + x, ry + rx),
+        (x - y, rx - ry), (y - x, ry - rx),
+        (x * y, rx * ry), (y * x, ry * rx),
+        (-x, -rx), (x.conj(), rx.conj()),
+    ):
+        _same(got, want)
+    assert x.norm() == rx.norm() and type(x.norm()) is QQ
+    assert (x.a, x.b) == (rx.a, rx.b)
+    for num_, den_, rnum, rden in ((x, y, rx, ry), (y, x, ry, rx)):
+        if rden.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                num_ / den_
+        else:
+            _same(num_ / den_, rnum / rden)
+    if rx.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        _same(x.inverse(), rx.inverse())
+
+
+@given(_CYC, st.integers(-4, 5))
+def test_cycnum_powers_agree_with_the_reference(x, k):
+    if k < 0 and x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x**k
+    else:
+        _same(x**k, ref(x) ** k)
+
+
+@given(_CYC, _CYC)
+def test_cycnum_equality_and_hash(x, y):
+    assert (x == y) == (ref(x) == ref(y))
+    assert (x != y) == (ref(x) != ref(y))
+    # the same value reached another way is equal and hashes alike
+    z = (x + y) - y
+    assert z == x and hash(z) == hash(x)
+    assert x * y == y * x and hash(x * y) == hash(y * x)
+    assert (cyc(x.a) == x) == (x.b == 0)
+    # only a CycNum equals a CycNum
+    assert (x == x.a) is False and (CYC_ONE == 1) is False
 
 
 def test_padic_examples():
