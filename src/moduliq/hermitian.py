@@ -3,14 +3,14 @@
 The Hermitian form is linear in the first argument and conjugate-linear in
 the second; Gram entries lie in (1/sqrt(-3)) Z[w] with sqrt(-3) = 1 + 2w
 held exactly.  No real radicals appear anywhere.  The trace form and the
-reflections are computed on int pairs (x, y) = x + y w over one common
-denominator of the Gram matrix, with w^2 = -1 - w, and become ``CycNum``
-or rational values once, on output.
+reflections run on int pairs (x, y) = x + y w over one common denominator
+of the Gram matrix, read from the ``CycNum`` triples, with w^2 = -1 - w;
+each output entry becomes one rational or one ``CycNum.of`` triple.
 """
 
 from dataclasses import dataclass
 
-from ._rational import num, qq
+from ._rational import qq
 from .lattices import Lattice
 from .scalars import CYC_ONE, CYC_ZERO, OMEGA, SQRT_M3, CycNum, cyc, int_pairs
 
@@ -40,17 +40,6 @@ class HermLattice:
     def entries_in_scaled_eisenstein(self) -> bool:
         """All entries lie in (1/(1+2w)) Z[w]."""
         return all((x * SQRT_M3).is_integral() for row in self.gram for x in row)
-
-    def inner(self, x, y) -> CycNum:
-        """h(x, y), conjugate-linear in y; coordinates are CycNum vectors."""
-        s = CYC_ZERO
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y):
-                if not yj.is_zero():
-                    s = s + xi * yj.conj() * self.gram[i][j]
-        return s
 
     def signature(self):
         """Hermitian signature, from the exact inertia of the trace form."""
@@ -176,18 +165,18 @@ def unitary_reflection(h: HermLattice, ell, xi) -> ReflectionReport:
     # P_j = sum_k H_jk conj(ell_k) = D h(e_j, ell) and h(ell, ell) = -1, the
     # matrix is S / D with S_ij = D delta_ij + (1 - xi) P_j ell_i.
     d, gram = _pair_rows(h.gram)
-    ell = [(num(x.a), num(x.b)) for x in ell]
+    ell = [(x.x, x.y) for x in ell]
     conj_ell = [(a - b, -b) for a, b in ell]
     p = [_pair_dot(row, conj_ell) for row in gram]
     if _pair_dot(ell, p) != (-d, 0):
         raise ValueError("ell must be a (-1)-vector")
-    twist = (1 - num(xi.a), -num(xi.b))  # 1 - xi
+    twist = (1 - xi.x, -xi.y)  # 1 - xi
     up = [_pair_mul(twist, x) for x in p]
     s = [[_pair_mul(e, x) for x in up] for e in ell]
     n = h.rank
     for i in range(n):
         s[i][i] = (s[i][i][0] + d, s[i][i][1])
-    matrix = tuple(tuple(CycNum(qq(x, d), qq(y, d)) for x, y in row) for row in s)
+    matrix = tuple(tuple(CycNum.of(x, y, d) for x, y in row) for row in s)
     preserves_lattice = all(x % d == 0 and y % d == 0 for row in s for x, y in row)
     # form preservation, h(sigma e_i, sigma e_j) = h(e_i, e_j): S^T H conj(S) = D^2 H
     form = _pair_mat_mul(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _linalg
-from ._rational import as_int, den, floor_q, is_integer, mod_q, num, qq
+from ._rational import as_int, den, floor_q, is_integer, mod_q, qq
 from .lattices import WEIL_LIMIT, Lattice, discriminant_group, elements_by_type
 from .qseries import QSeries, check_terms, cutoff, eta_power
 from .scalars import CYC_ONE, CYC_ZERO, OMEGA_POWERS, CycNum, cyc, omega_pow, root_of_unity_6
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 TYPE_ORDER = ("00", "0", "4/3", "2/3")
-_OMEGA_PAIRS = tuple((num(w.a), num(w.b)) for w in OMEGA_POWERS)  # w^j = x + y w as ints (x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +296,14 @@ def eisenstein_level3(k: int, label, prec) -> QSeries:
     for dd in range(1, size):
         power = dd ** (k - 1)
         for residue, sign, exponent in ((a1, 1, a2 * dd), (-a1 % 3, (-1) ** k, -a2 * dd)):
-            x, y = _OMEGA_PAIRS[exponent % 3]
-            x, y = sign * power * x, sign * power * y
+            w = OMEGA_POWERS[exponent % 3]  # an int pair: w.d = 1
+            x, y = sign * power * w.x, sign * power * w.y
             for n in range(dd * (residue or 3), size, 3 * dd):
                 re[n] += x
                 im[n] += y
     for n in range(1, size):
         if re[n] or im[n]:
-            coeffs[n] = CycNum(qq(re[n]), qq(im[n]))
+            coeffs[n] = CycNum.of(re[n], im[n])
     return QSeries.make(3, coeffs, prec)
 
 

@@ -8,16 +8,15 @@ q^(k/N) on a fixed grid N.
 Powers, inverses and eta products all come from one recurrence in
 ``QSeries.pow``: J.C.P. Miller's power formula (Knuth, TAOCP vol. 2, 4.7).
 
-Every kernel that makes new coefficients (``__mul__``, ``pow``, ``scale``
-and ``__add__``, hence also ``__sub__``, ``__radd__`` and division by a
-scalar) runs on Python int pairs (x, y) meaning (x + y w) / D over one
-common denominator D: each input coefficient is scaled once, the loop uses
-w^2 = -1 - w, and each output coefficient becomes one ``CycNum`` of two
-rationals, each built in one step.  In ``pow`` the denominator rolls: it
-grows only at a step whose division is not exact, and stays 1 for an
-integral series with a unit leading coefficient.  ``truncate`` slices the
-sorted terms and ``coeff`` finds its key with int arithmetic, so neither
-touches a coefficient.
+The convolutions ``__mul__`` and ``pow`` run on Python int pairs (x, y)
+meaning (x + y w) / D over one common denominator D, read from the
+``CycNum`` triples: the loop uses w^2 = -1 - w, and each output coefficient
+is one ``CycNum.of`` triple, reduced by one gcd.  In ``pow`` the denominator
+rolls: it grows only at a step whose division is not exact, and stays 1 for
+an integral series with a unit leading coefficient.  ``scale`` and
+``__add__`` (hence ``__sub__``, ``__radd__`` and division by a scalar) do
+one ``CycNum`` operation per coefficient.  ``truncate`` slices the sorted
+terms and ``coeff`` finds its key with int arithmetic.
 
 No kernel computes more than ``TERM_LIMIT`` coefficients, so a precision
 that would take hours is refused at once.
@@ -58,13 +57,6 @@ def _key(term) -> int:
     return term[0]
 
 
-def _pair_terms(re: dict, im: dict, d: int) -> tuple:
-    """Sorted (k, CycNum) terms of the nonzero (re[k] + im[k] w) / d."""
-    return tuple(
-        (k, CycNum(qq(x, d), qq(im[k], d))) for k, x in sorted(re.items()) if x or im[k]
-    )
-
-
 @dataclass(frozen=True)
 class QSeries:
     n_den: int       # exponent grid q^(k / n_den)
@@ -80,11 +72,8 @@ class QSeries:
         items = []
         for k, c in coeffs.items():
             c = cyc(c)
-            if c.is_zero():
-                continue
-            if k >= limit:
-                continue
-            items.append((k, c))
+            if k < limit and not c.is_zero():
+                items.append((k, c))
         items.sort(key=lambda kv: kv[0])
         return QSeries(n_den, tuple(items), trunc)
 
@@ -148,16 +137,14 @@ class QSeries:
             other = QSeries.monomial(other, 0, self.trunc)
         n = math.lcm(self.n_den, other.n_den)
         trunc = min(self.trunc, other.trunc)
-        da, pa = int_pairs(self._below(trunc))
-        db, pb = int_pairs(other._below(trunc))
-        d = math.lcm(da, db)
-        re, im = {}, {}
-        for f, g, pairs in ((n // self.n_den, d // da, pa), (n // other.n_den, d // db, pb)):
-            for k, x, y in pairs:
+        out = {}
+        for series in (self, other):
+            f = n // series.n_den
+            for k, c in series._below(trunc):
                 k *= f
-                re[k] = re.get(k, 0) + x * g
-                im[k] = im.get(k, 0) + y * g
-        return QSeries(n, _pair_terms(re, im, d), trunc)
+                out[k] = out[k] + c if k in out else c
+        terms = sorted((kc for kc in out.items() if not kc[1].is_zero()), key=_key)
+        return QSeries(n, tuple(terms), trunc)
 
     __radd__ = __add__
 
@@ -176,15 +163,7 @@ class QSeries:
         c = cyc(c)
         if c.is_zero():
             return QSeries.zero(self.trunc, self.n_den)
-        cd, ((_, cx, cy),) = int_pairs([(0, c)])
-        d, pairs = int_pairs(self.terms)
-        d *= cd
-        # (x + y w)(cx + cy w) = (x cx - y cy) + (x cy + y cx - y cy) w
-        terms = tuple(
-            (k, CycNum(qq(x * cx - y * cy, d), qq(x * cy + y * (cx - cy), d)))
-            for k, x, y in pairs
-        )
-        return QSeries(self.n_den, terms, self.trunc)
+        return QSeries(self.n_den, tuple((k, x * c) for k, x in self.terms), self.trunc)
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
@@ -210,7 +189,9 @@ class QSeries:
                 yy = ya * yb
                 re[k] = re.get(k, 0) + xa * xb - yy
                 im[k] = im.get(k, 0) + xa * yb + ya * xb - yy
-        return QSeries(n, _pair_terms(re, im, da * db), trunc)
+        d = da * db
+        terms = tuple((k, CycNum.of(x, im[k], d)) for k, x in sorted(re.items()) if x or im[k])
+        return QSeries(n, terms, trunc)
 
     __rmul__ = __mul__
 
@@ -272,10 +253,10 @@ class QSeries:
                 big_d *= f
                 w = [(p * f, q * f) for p, q in w]
             w.append((sa // g, sb // g))
-        cd, ((_, cx, cy),) = int_pairs([(0, c**m)])
-        d = cd * big_d
+        cm = c**m
+        cx, cy, d = cm.x, cm.y, cm.d * big_d
         terms = tuple(
-            (n + m * k0, CycNum(qq(cx * p - cy * q, d), qq(cx * q + cy * p - cy * q, d)))
+            (n + m * k0, CycNum.of(cx * p - cy * q, cx * q + cy * p - cy * q, d))
             for n, (p, q) in enumerate(w)
             if p or q
         )
@@ -307,10 +288,7 @@ class QSeries:
         parts = []
         for k, c in self.terms:
             e = qq(k, self.n_den)
-            if c.is_rational():
-                cs = fmt_q(c.a)
-            else:
-                cs = f"({c})"
+            cs = str(c) if c.is_rational() else f"({c})"
             if e == 0:
                 parts.append(cs)
             else:

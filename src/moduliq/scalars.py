@@ -1,12 +1,14 @@
 """Arithmetic foundations: rationals, the field Q(w) with w^2+w+1=0, p-adic valuations.
 
-Elements of Q(w) are stored as a + b*w on the basis (1, w).  Conjugation
-sends w to w^2 = -1-w, and the square root of -3 is the exact element
-1 + 2w.  All operations are pure and values immutable.
+An element of Q(w) is held as ints (x, y, d) meaning (x + y w) / d on the
+basis (1, w), in lowest terms with d > 0: integer coordinates over one
+common denominator (Cohen, GTM 138, 4.2), so each operation is a few int
+products and one gcd.  Conjugation sends w to w^2 = -1-w, and the square
+root of -3 is the exact element 1 + 2w.  Values are immutable.
 """
 
 import math
-from dataclasses import dataclass
+from fractions import Fraction
 
 from ._rational import QQ, den, fmt_q, num, qq
 
@@ -16,7 +18,6 @@ __all__ = [
     "OMEGA_POWERS",
     "SQRT_M3",
     "cyc",
-    "cyc_conj_norm",
     "int_pairs",
     "is_prime",
     "omega_pow",
@@ -27,63 +28,96 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CycNum:
-    """a + b*w with w a primitive cube root of unity."""
+    """(x + y w) / d with w a primitive cube root of unity, held as ints x, y,
+    d in lowest terms with d > 0 and never changed after construction;
+    ``CycNum(a, b)`` is a + b w for two rationals (or anything qq takes)."""
 
-    a: object
-    b: object
+    __slots__ = ("x", "y", "d")
+
+    def __init__(self, a, b):
+        a, b = qq(a), qq(b)
+        d = math.lcm(den(a), den(b))
+        self.x, self.y, self.d = num(a) * d // den(a), num(b) * d // den(b), d
+
+    @classmethod
+    def of(cls, x: int, y: int, d: int = 1) -> "CycNum":
+        """(x + y w) / d for ints x, y and d != 0, reduced by one gcd."""
+        g = math.gcd(x, y, d) if d > 0 else -math.gcd(x, y, d)
+        z = object.__new__(cls)
+        z.x, z.y, z.d = x // g, y // g, d // g
+        return z
+
+    a = property(lambda self: qq(self.x, self.d), doc="The rational coordinate on 1.")
+    b = property(lambda self: qq(self.y, self.d), doc="The rational coordinate on w.")
+
+    def __eq__(self, other):
+        if not isinstance(other, CycNum):
+            return NotImplemented
+        return self.x == other.x and self.y == other.y and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.d))
 
     def __add__(self, other):
-        other = cyc(other)
-        return CycNum(self.a + other.a, self.b + other.b)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        d, e = self.d, other.d
+        return CycNum.of(self.x * e + other.x * d, self.y * e + other.y * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = cyc(other)
-        return CycNum(self.a - other.a, self.b - other.b)
+        other = _operand(other)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
-        return cyc(other) - self
+        other = _operand(other)
+        return NotImplemented if other is None else other + -self
 
     def __neg__(self):
-        return CycNum(-self.a, -self.b)
+        return CycNum.of(-self.x, -self.y, self.d)
 
     def __mul__(self, other):
-        other = cyc(other)
-        a, b, c, d = self.a, self.b, other.a, other.b
-        # (a + bw)(c + dw) = (ac - bd) + (ad + bc - bd) w  using w^2 = -1 - w
-        return CycNum(a * c - b * d, a * d + b * c - b * d)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        x, y, u, v = self.x, self.y, other.x, other.y
+        # (x + yw)(u + vw) = (xu - yv) + (xv + yu - yv) w  using w^2 = -1 - w
+        return CycNum.of(x * u - y * v, x * v + y * u - y * v, self.d * other.d)
 
     __rmul__ = __mul__
 
     def conj(self) -> "CycNum":
         # w -> w^2 = -1 - w
-        return CycNum(self.a - self.b, -self.b)
+        return CycNum.of(self.x - self.y, -self.y, self.d)
 
     def norm(self):
         """self * conj(self), a non-negative rational."""
-        return self.a * self.a - self.a * self.b + self.b * self.b
+        x, y = self.x, self.y
+        return qq(x * x - x * y + y * y, self.d * self.d)
 
     def inverse(self) -> "CycNum":
-        n = self.norm()
+        # conj / norm = ((x - y) - y w) d / (x^2 - xy + y^2)
+        x, y, d = self.x, self.y, self.d
+        n = x * x - x * y + y * y
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(w)")
-        c = self.conj()
-        return CycNum(c.a / n, c.b / n)
+        return CycNum.of((x - y) * d, -y * d, n)
 
     def __truediv__(self, other):
-        return self * cyc(other).inverse()
+        other = _operand(other)
+        return NotImplemented if other is None else self * other.inverse()
 
     def __rtruediv__(self, other):
-        return cyc(other) * self.inverse()
+        other = _operand(other)
+        return NotImplemented if other is None else other * self.inverse()
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = CYC_ONE
-        base = self
+        result, base = CYC_ONE, self
         while k:
             if k & 1:
                 result = result * base
@@ -92,58 +126,62 @@ class CycNum:
         return result
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.x == 0 and self.y == 0
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.y == 0
 
     def rational(self):
-        if self.b != 0:
+        if self.y != 0:
             raise ValueError(f"{self} has a nonzero w-part")
         return self.a
 
     def is_integral(self) -> bool:
         """True when both coordinates are rational integers (element of Z[w])."""
-        return den(self.a) == 1 and den(self.b) == 1
+        return self.d == 1
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return fmt_q(self.a)
-        if self.b == 1:
+        a, b = self.a, self.b
+        if b == 0:
+            return fmt_q(a)
+        if b == 1:
             wpart = "w"
-        elif self.b == -1:
+        elif b == -1:
             wpart = "-w"
         else:
-            wpart = f"{fmt_q(self.b)}*w"
-        if self.a == 0:
+            wpart = f"{fmt_q(b)}*w"
+        if a == 0:
             return wpart
-        sign = "+" if self.b > 0 else "-"
-        mag = wpart.lstrip("-")
-        return f"{fmt_q(self.a)} {sign} {mag}"
+        return f"{fmt_q(a)} {'+' if b > 0 else '-'} {wpart.lstrip('-')}"
 
     __repr__ = __str__
+
+
+def _operand(x):
+    """x as a CycNum if it is one, an int or a rational; None (NotImplemented) else."""
+    if isinstance(x, CycNum):
+        return x
+    if isinstance(x, (int, Fraction, QQ)):
+        return CycNum.of(num(x), 0, den(x))
+    return None
 
 
 def int_pairs(terms):
     """(D, [(k, x, y), ...]) for (k, c) terms, with each c = (x + y w) / D
     over one common denominator D: the ints the exact kernels loop on."""
-    d = math.lcm(*(den(z) for _, c in terms for z in (c.a, c.b)))
-    return d, [
-        (k, num(c.a) * (d // den(c.a)), num(c.b) * (d // den(c.b))) for k, c in terms
-    ]
+    d = math.lcm(*(c.d for _, c in terms))
+    return d, [(k, c.x * (d // c.d), c.y * (d // c.d)) for k, c in terms]
 
 
 def cyc(x) -> CycNum:
     """Coerce a rational/int/CycNum to CycNum."""
-    if isinstance(x, CycNum):
-        return x
-    return CycNum(qq(x), qq(0))
+    return x if isinstance(x, CycNum) else CycNum(x, 0)
 
 
 CYC_ZERO = cyc(0)
 CYC_ONE = cyc(1)
-OMEGA = CycNum(qq(0), qq(1))
-SQRT_M3 = CycNum(qq(1), qq(2))  # (1 + 2w)^2 = -3
+OMEGA = CycNum(0, 1)
+SQRT_M3 = CycNum(1, 2)  # (1 + 2w)^2 = -3
 OMEGA_POWERS = (CYC_ONE, OMEGA, OMEGA * OMEGA)  # w^0, w^1, w^2 = -1 - w
 
 
@@ -156,12 +194,6 @@ def root_of_unity_6(j: int) -> CycNum:
     # exp(pi i j / 3) = (-w^2)^j; (-w^2) is the primitive sixth root.
     w2j = OMEGA_POWERS[2 * j % 3]
     return w2j if j % 2 == 0 else -w2j
-
-
-def cyc_conj_norm(x) -> tuple:
-    """Return (conjugate, norm) of an element of Q(w)."""
-    z = cyc(x)
-    return z.conj(), z.norm()
 
 
 def is_prime(p: int) -> bool:

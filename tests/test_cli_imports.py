@@ -56,8 +56,18 @@ def test_help_loads_no_layer():
 
 def test_t9_loads_the_ledger_alone():
     # no lattices, shortvec, qseries, modforms, borcherds, kirwan or luna;
-    # the ledger and the scalars still declare dataclasses
+    # the ledger still declares dataclasses
     assert _loaded(["t9"]) == ([0], FRONTEND | {"ledger", "scalars", "dataclasses"})
+
+
+def test_scalars_load_no_dataclasses():
+    # CycNum is a plain __slots__ class
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = "import sys, moduliq.scalars; print('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_luna_loads_the_slice_layer_alone():

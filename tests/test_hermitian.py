@@ -1,6 +1,7 @@
 import pytest
 
-from hermitian_oracle import ref_matrix, reflection, trace_gram
+from cyc_oracle import ref
+from hermitian_oracle import herm_inner, ref_matrix, reflection, trace_gram
 from moduliq import qq
 from moduliq.hermitian import (
     basis_minus_one_vector,
@@ -56,7 +57,7 @@ def test_reflection_fixes_complement_and_scales_line():
     k = next(i for i, x in enumerate(ell) if not x.is_zero())
     for j in range(n):
         col = tuple(CYC_ONE if i == j else CYC_ZERO for i in range(n))
-        if lat.inner(col, ell).is_zero():
+        if herm_inner(lat.gram, col, ell).is_zero():
             assert all(
                 rep.matrix[i][j] == (CYC_ONE if i == j else CYC_ZERO) for i in range(n)
             )
@@ -118,7 +119,7 @@ def test_reflections_match_the_cycnum_oracle():
         cyc(x) for x in (-1, CYC_ONE + 2 * w, 1, 1, 0, 0, w, 0, 0, 0)
     )
     for ell in (basis_minus_one_vector(lat), spread):
-        assert lat.inner(ell, ell) == -CYC_ONE
+        assert herm_inner(lat.gram, ell, ell) == ref(-1)
         for xi in UNITS:
             rep = unitary_reflection(lat, ell, xi)
             got = (rep.preserves_lattice, rep.preserves_form, rep.order, ref_matrix(rep.matrix))

@@ -189,8 +189,7 @@ def test_scale_matches_the_oracle(a, c):
     expected = series_oracle.scale(*as_dict(a), c)
     assert as_dict(a.scale(c)) == expected
     assert as_dict(a * c) == expected
-    if not isinstance(c, CycNum):
-        assert as_dict(c * a) == expected
+    assert as_dict(c * a) == expected
     assert a.scale(c).n_den == a.n_den
     if not ref(c).is_zero():
         assert as_dict(a / c) == series_oracle.scale(*as_dict(a), 1 / ref(c))
@@ -205,9 +204,24 @@ def test_add_and_sub_match_the_oracle(a, b, c):
     assert (a + b).n_den == (a - b).n_den == n
     constant = ({qq(0): ref(c)}, a.trunc)
     assert as_dict(a + c) == series_oracle.add(*as_dict(a), *constant)
-    if not isinstance(c, CycNum):
-        assert as_dict(c + a) == as_dict(a + c)
+    assert as_dict(c + a) == as_dict(a + c)
+    assert as_dict(c - a) == as_dict(-(a - c))
     assert as_dict(a - c) == series_oracle.add(*as_dict(a), *series_oracle.scale(*constant, -1))
+
+
+def test_scalar_on_the_left_of_a_series():
+    # a CycNum operator leaves an unknown operand to the reflected QSeries one
+    s = QSeries.make(3, {-1: CycNum(qq(1, 2), 1), 2: 3, 4: OMEGA}, qq(5, 2))
+    for c in (OMEGA, OMEGA * OMEGA + 2, CycNum(qq(-1, 3), qq(2, 5))):
+        assert c * s == s * c
+        assert c + s == s + c
+        assert c - s == -(s - c)
+    # Python's own TypeError, not one from a rational constructor
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+: 'CycNum' and 'str'"):
+        OMEGA + "x"
+    for op in (operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError, match="'CycNum'"):
+            op(OMEGA, "x")
 
 
 @given(rational_series(), st.integers(0, 48))

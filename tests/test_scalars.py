@@ -15,7 +15,6 @@ from moduliq.scalars import (
     SQRT_M3,
     CycNum,
     cyc,
-    cyc_conj_norm,
     padic_valuation,
 )
 
@@ -53,13 +52,11 @@ def test_sqrt_minus_three():
 
 
 def test_conj_norm_examples():
-    conj_w, norm_w = cyc_conj_norm(OMEGA)
-    assert conj_w == CycNum(qq(-1), qq(-1))  # -1 - w
-    assert norm_w == 1
-    conj_r, norm_r = cyc_conj_norm(SQRT_M3)
-    assert conj_r == CycNum(qq(-1), qq(-2))
-    assert norm_r == 3
-    assert cyc_conj_norm(0) == (cyc(0), 0)
+    assert OMEGA.conj() == CycNum(qq(-1), qq(-1))  # -1 - w
+    assert OMEGA.norm() == 1
+    assert SQRT_M3.conj() == CycNum(qq(-1), qq(-2))
+    assert SQRT_M3.norm() == 3
+    assert (cyc(0).conj(), cyc(0).norm()) == (cyc(0), 0)
 
 
 def test_conj_norm_multiplicative():
@@ -69,6 +66,15 @@ def test_conj_norm_multiplicative():
         y = CycNum(qq(rng.randint(-9, 9)), qq(rng.randint(-9, 9), rng.randint(1, 5)))
         assert (x * y).conj() == x.conj() * y.conj()
         assert (x * y).norm() == x.norm() * y.norm()
+
+
+def test_of_reduces_an_int_triple():
+    # one gcd, and the sign moves onto the numerators
+    z = CycNum.of(2, -4, -6)
+    assert (z.x, z.y, z.d) == (-1, 2, 3)
+    assert z == CycNum(qq(-1, 3), qq(2, 3))
+    assert (CycNum.of(0, 0, -7).x, CycNum.of(0, 0, -7).d) == (0, 1)
+    assert CycNum.of(5, 0) == cyc(5)
 
 
 def test_division_and_pow():
