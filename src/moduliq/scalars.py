@@ -141,18 +141,13 @@ class CycNum:
         return self.d == 1
 
     def __str__(self) -> str:
-        a, b = self.a, self.b
-        if b == 0:
-            return fmt_q(a)
-        if b == 1:
-            wpart = "w"
-        elif b == -1:
-            wpart = "-w"
-        else:
-            wpart = f"{fmt_q(b)}*w"
-        if a == 0:
+        x, y, d = self.x, self.y, self.d
+        if y == 0:
+            return fmt_q(self.a)
+        wpart = "w" if y == d else "-w" if y == -d else f"{fmt_q(self.b)}*w"
+        if x == 0:
             return wpart
-        return f"{fmt_q(a)} {'+' if b > 0 else '-'} {wpart.lstrip('-')}"
+        return f"{fmt_q(self.a)} {'+' if y > 0 else '-'} {wpart.lstrip('-')}"
 
     __repr__ = __str__
 
