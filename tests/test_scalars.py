@@ -73,7 +73,8 @@ def test_of_reduces_an_int_triple():
     z = CycNum.of(2, -4, -6)
     assert (z.x, z.y, z.d) == (-1, 2, 3)
     assert z == CycNum(qq(-1, 3), qq(2, 3))
-    assert (CycNum.of(0, 0, -7).x, CycNum.of(0, 0, -7).d) == (0, 1)
+    zero = CycNum.of(0, 0, -7)
+    assert (zero.x, zero.y, zero.d) == (0, 0, 1)
     assert CycNum.of(5, 0) == cyc(5)
 
 
