@@ -1,7 +1,12 @@
 import math
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from luna_oracle import slice_det
 from moduliq import qq
+from moduliq._rational import as_int, den
 from moduliq.luna import (
     SLICE_MONOMIALS,
     disc12_vanishing_order,
@@ -60,18 +65,60 @@ def test_disc12_other_seeds_agree():
         assert disc12_vanishing_order(seed=seed)["order"] == 10
 
 
+# single epsilon-type coordinate: the form keeps a square factor for all t
+ONLY_EPS = tuple(1 if m == (8, 4) else 0 for m in SLICE_MONOMIALS)
+BOTH_EPS = tuple(1 if m in ((8, 4), (4, 8)) else 0 for m in SLICE_MONOMIALS)
+# one factor fully generic, the other epsilon-only
+HALF = tuple(
+    1 if m in ((8, 4), (0, 12), (1, 11), (2, 10), (3, 9), (4, 8)) else 0
+    for m in SLICE_MONOMIALS
+)
+
+
 def test_disc12_degenerate_directions_never_drop_below_ten():
-    # single epsilon-type coordinate: the form keeps a square factor for all t
-    only_eps = tuple(1 if m == (8, 4) else 0 for m in SLICE_MONOMIALS)
-    assert disc12_vanishing_order(direction=only_eps)["order"] == math.inf
-    both_eps = tuple(1 if m in ((8, 4), (4, 8)) else 0 for m in SLICE_MONOMIALS)
-    assert disc12_vanishing_order(direction=both_eps)["order"] == math.inf
-    # one factor fully generic, the other epsilon-only: still at least ten
-    half = tuple(
-        1 if m in ((8, 4), (0, 12), (1, 11), (2, 10), (3, 9), (4, 8)) else 0
-        for m in SLICE_MONOMIALS
-    )
-    assert disc12_vanishing_order(direction=half)["order"] >= 10
+    assert disc12_vanishing_order(direction=ONLY_EPS)["order"] == math.inf
+    assert disc12_vanishing_order(direction=BOTH_EPS)["order"] == math.inf
+    assert disc12_vanishing_order(direction=HALF)["order"] >= 10
+
+
+def _reference(direction):
+    """The oracle's det(t) for a direction, scaled to integers as luna does."""
+    scale = math.lcm(*(den(qq(x)) for x in direction))
+    return slice_det(SLICE_MONOMIALS, [as_int(qq(x) * scale) for x in direction])
+
+
+def _check_against_reference(report):
+    det = _reference(report["direction"])
+    if not det:
+        assert (report["order"], report["degree"]) == (math.inf, None)
+    else:
+        order = next(i for i, c in enumerate(det) if c)
+        assert (report["order"], report["degree"]) == (order, len(det) - 1)
+
+
+def test_disc12_named_directions_match_the_reference():
+    for report in (
+        disc12_vanishing_order(),
+        disc12_vanishing_order(seed=1),
+        disc12_vanishing_order(seed=77),
+        *(disc12_vanishing_order(direction=d) for d in (ONLY_EPS, BOTH_EPS, HALF)),
+    ):
+        _check_against_reference(report)
+
+
+# zero, negative, large and rational direction entries
+direction_entries = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.integers(-(10**6), 10**6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+
+
+@settings(max_examples=25)
+@given(st.lists(direction_entries, min_size=10, max_size=10))
+def test_disc12_random_directions_match_the_reference(direction):
+    _check_against_reference(disc12_vanishing_order(direction=direction))
 
 
 def test_univariate_resultant_values():
