@@ -3,8 +3,10 @@
 The versal sextic discriminant is an 11x11 Sylvester resultant with
 monomial entries, expanded by a memoized banded Laplace recursion over
 integer multivariate polynomials.  The degree-12 restriction is only ever
-evaluated along one-parameter lines, where a fraction-free Bareiss
-elimination over Z[t] is exact and fast.
+evaluated along one-parameter lines t, where every Sylvester entry is
+c0 + c1 t: substituting t = 2^B (Kronecker) turns the determinant into one
+fraction-free Bareiss elimination over Z, whose value is read back as the
+balanced base-2^B digits of det(t).
 """
 
 import math
@@ -95,11 +97,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def leading(self):
-        """(exponent, coefficient) maximal in lex order."""
-        e = max(self.terms)
-        return e, self.terms[e]
-
     def evaluate(self, point):
         total = qq(0)
         for e, c in self.terms.items():
@@ -120,15 +117,8 @@ class MultiPoly:
         return len(self.terms)
 
 
-def _int_div(a, b):
-    q, r = divmod(a, b)
-    if r:
-        raise ValueError("inexact integer division")
-    return q
-
-
 # ---------------------------------------------------------------------------
-# determinants for polynomial matrices
+# determinants
 
 
 def det_banded_laplace(matrix):
@@ -173,75 +163,27 @@ def det_banded_laplace(matrix):
     return rec(0, tuple(range(n)))
 
 
-def det_bareiss_unipoly(matrix):
-    """Fraction-free determinant of a matrix of integer coefficient lists.
-
-    Entries are univariate polynomials as lists (index = degree).
-    """
-
-    def pmul(p, q):
-        out = [0] * (len(p) + len(q) - 1) if p and q else []
-        for i, a in enumerate(p):
-            if not a:
-                continue
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-        while out and not out[-1]:
-            out.pop()
-        return out
-
-    def psub(p, q):
-        out = list(p) + [0] * (len(q) - len(p))
-        for j, b in enumerate(q):
-            out[j] -= b
-        while out and not out[-1]:
-            out.pop()
-        return out
-
-    def pdiv_exact(p, q):
-        # exact division of integer polynomials
-        if not q:
-            raise ZeroDivisionError
-        p = list(p)
-        out = [0] * (len(p) - len(q) + 1) if len(p) >= len(q) else []
-        while len(p) >= len(q) and p:
-            k = len(p) - len(q)
-            c = _int_div(p[-1], q[-1])
-            out[k] = c
-            for j, b in enumerate(q):
-                p[k + j] -= c * b
-            while p and not p[-1]:
-                p.pop()
-        if p:
-            raise ValueError("inexact polynomial division")
-        return out
-
-    def normalize(x):
-        x = list(x)
-        while x and not x[-1]:
-            x.pop()
-        return x
-
-    a = [[normalize(x) for x in row] for row in matrix]
+def det_bareiss(matrix) -> int:
+    """Determinant of a square int matrix by fraction-free Bareiss elimination:
+    every division by the previous pivot is exact."""
+    a = [list(row) for row in matrix]
     n = len(a)
     sign = 1
-    prev = [1]
+    prev = 1
     for k in range(n - 1):
         if not a[k][k]:
             swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
-                return []
+                return 0
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        for i in range(k + 1, n):
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
             for j in range(k + 1, n):
-                num_ = psub(pmul(a[k][k], a[i][j]), pmul(a[i][k], a[k][j]))
-                a[i][j] = pdiv_exact(num_, prev) if prev != [1] else num_
-            a[i][k] = []
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else [-c for c in det]
+                row[j] = (pivot * row[j] - lead * row_k[j]) // prev
+        prev = pivot
+    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +274,8 @@ def sextic_discriminant() -> MultiPoly:
 def univariate_resultant(p, q):
     """Resultant of two rational coefficient lists (highest degree first).
 
-    Independent of the multivariate path: a Bareiss determinant over Z of
-    the scaled Sylvester matrix.
+    Independent of the multivariate Laplace path: ``det_bareiss`` of the
+    Sylvester matrix of the two lists scaled to integers.
     """
     p = [qq(x) for x in p]
     q = [qq(x) for x in q]
@@ -341,9 +283,8 @@ def univariate_resultant(p, q):
     scale_q = math.lcm(*(den(x) for x in q))
     pi = [as_int(x * scale_p) for x in p]
     qi = [as_int(x * scale_q) for x in q]
-    det = det_bareiss_unipoly(_sylvester([[c] for c in pi], [[c] for c in qi], []))
-    val = qq(det[0]) if det else qq(0)
-    return val / (qq(scale_p) ** (len(q) - 1) * qq(scale_q) ** (len(p) - 1))
+    det = det_bareiss(_sylvester(pi, qi, 0))
+    return qq(det) / (qq(scale_p) ** (len(q) - 1) * qq(scale_q) ** (len(p) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +298,45 @@ def _direction_stream(seed: int):
         yield state % 9 + 1
 
 
+def _slice_det(coeff_ints):
+    """Coefficients of det(t), constant term first ([] for det = 0), for the
+    Sylvester matrix of d/dx0 and d/dx1 of
+    x0^6 x1^6 + t * sum_i coeff_ints[i] * (slice monomial i).
+
+    Each entry is c0 + c1 t.  Every coefficient of det(t) is at most the
+    product of the rows' l1 norms of their (c0, c1) in absolute value, so with
+    2^(B-1) above that bound det(2^B) determines them as balanced base-2^B
+    digits.
+    """
+    forms = {(6, 6): (1, 0)}
+    forms.update((m, (0, c)) for m, c in zip(SLICE_MONOMIALS, coeff_ints))
+    # partial derivatives as degree-11 binary forms; coefficients on
+    # x0^k x1^(11-k) for k = 11..0
+    d0 = [(0, 0)] * 12
+    d1 = [(0, 0)] * 12
+    for (aexp, bexp), (c0, c1) in forms.items():
+        if aexp:
+            d0[12 - aexp] = (aexp * c0, aexp * c1)
+        if bexp:
+            d1[11 - aexp] = (bexp * c0, bexp * c1)
+    rows = _sylvester(d0, d1, (0, 0))
+    bound = math.prod(sum(abs(c0) + abs(c1) for c0, c1 in row) for row in rows)
+    bits = bound.bit_length() + 1
+    det = det_bareiss([[c0 + (c1 << bits) for c0, c1 in row] for row in rows])
+    coeffs = []
+    while det:
+        digit = det & ((1 << bits) - 1)
+        if digit >> (bits - 1):
+            digit -= 1 << bits
+        coeffs.append(digit)
+        det = (det - digit) >> bits
+    return coeffs
+
+
 def disc12_vanishing_order(direction=None, seed=20240801):
     """Order in t of disc of x0^6 x1^6 + t * (combination of slice monomials).
 
-    direction: optional tuple of ten rationals (coefficients on
+    direction: optional sequence of ten rationals (coefficients on
     SLICE_MONOMIALS); by default a deterministic pseudo-random direction.
     Returns a dict with the order (math.inf for the identically zero
     discriminant), the direction used, and the degree of disc in t.
@@ -369,36 +345,15 @@ def disc12_vanishing_order(direction=None, seed=20240801):
         gen = _direction_stream(seed)
         direction = tuple(next(gen) for _ in SLICE_MONOMIALS)
     direction = tuple(qq(x) for x in direction)
+    if len(direction) != len(SLICE_MONOMIALS):
+        raise ValueError(
+            f"direction needs {len(SLICE_MONOMIALS)} entries, one per slice"
+            f" monomial, got {len(direction)}"
+        )
     # scale to integers; rescaling t does not change the vanishing order
     lcm = math.lcm(*(den(x) for x in direction))
-    coeff_ints = [as_int(x * lcm) for x in direction]
-    # coefficient of x0^a x1^b in f_t, as an integer polynomial in t
-    coeffs = {}
-    coeffs[(6, 6)] = [1]
-    for (aexp, bexp), cint in zip(SLICE_MONOMIALS, coeff_ints):
-        coeffs[(aexp, bexp)] = [0, cint]
-    # partial derivatives as degree-11 binary forms; coefficient lists on
-    # x0^k x1^(11-k) for k = 11..0
-    d0 = [[0] for _ in range(12)]
-    d1 = [[0] for _ in range(12)]
-    for (aexp, bexp), poly in coeffs.items():
-        if aexp >= 1:
-            k = aexp - 1
-            d0[11 - k] = _list_add(d0[11 - k], [aexp * c for c in poly])
-        if bexp >= 1:
-            k = aexp
-            d1[11 - k] = _list_add(d1[11 - k], [bexp * c for c in poly])
-    det = det_bareiss_unipoly(_sylvester(d0, d1, []))
+    det = _slice_det([as_int(x * lcm) for x in direction])
     if not det:
         return {"order": math.inf, "direction": direction, "degree": None}
     order = next(i for i, c in enumerate(det) if c)
     return {"order": order, "direction": direction, "degree": len(det) - 1}
-
-
-def _list_add(p, q):
-    out = list(p) + [0] * (len(q) - len(p))
-    for j, b in enumerate(q):
-        out[j] += b
-    while out and not out[-1]:
-        out.pop()
-    return out

@@ -1,6 +1,7 @@
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from moduliq import qq
 from moduliq._rational import as_int, den
 from moduliq.luna import (
     SLICE_MONOMIALS,
+    _slice_det,
     disc12_vanishing_order,
     sextic_discriminant,
     slice_data,
@@ -81,14 +83,13 @@ def test_disc12_degenerate_directions_never_drop_below_ten():
     assert disc12_vanishing_order(direction=HALF)["order"] >= 10
 
 
-def _reference(direction):
-    """The oracle's det(t) for a direction, scaled to integers as luna does."""
-    scale = math.lcm(*(den(qq(x)) for x in direction))
-    return slice_det(SLICE_MONOMIALS, [as_int(qq(x) * scale) for x in direction])
-
-
 def _check_against_reference(report):
-    det = _reference(report["direction"])
+    """det(t) of the report's direction, scaled to integers, is the oracle's,
+    coefficient by coefficient, and the report reads its order and degree."""
+    scale = math.lcm(*(den(x) for x in report["direction"]))
+    ints = [as_int(x * scale) for x in report["direction"]]
+    det = slice_det(SLICE_MONOMIALS, ints)
+    assert _slice_det(ints) == det
     if not det:
         assert (report["order"], report["degree"]) == (math.inf, None)
     else:
@@ -119,6 +120,28 @@ direction_entries = st.one_of(
 @given(st.lists(direction_entries, min_size=10, max_size=10))
 def test_disc12_random_directions_match_the_reference(direction):
     _check_against_reference(disc12_vanishing_order(direction=direction))
+
+
+def test_slice_det_digits_keep_signs_and_zeros():
+    # from t^10 up every even power has a negative coefficient, every odd one 0
+    direction = (2, -1, 0, 0, 0, 0, 0, 0, 0, -1)
+    det = _slice_det(direction)
+    assert det == slice_det(SLICE_MONOMIALS, direction)
+    assert len(det) == 23 and not any(det[:10]) and not any(det[11::2])
+    assert all(c < 0 for c in det[10::2])
+    # the zero determinant unpacks to no digits at all
+    for zero in ((0,) * 10, ONLY_EPS, BOTH_EPS):
+        assert _slice_det(zero) == []
+    report = disc12_vanishing_order(direction=(0,) * 10)
+    assert (report["order"], report["degree"]) == (math.inf, None)
+
+
+def test_disc12_direction_needs_ten_entries():
+    # a 9-entry direction used to drop the last monomial, an 11-entry one to
+    # ignore its last entry
+    for direction in ((1,) * 9, (1,) * 11, ()):
+        with pytest.raises(ValueError, match="needs 10 entries"):
+            disc12_vanishing_order(direction=direction)
 
 
 def test_univariate_resultant_values():
