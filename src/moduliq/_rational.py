@@ -11,7 +11,6 @@ Set ``MODULIQ_BACKEND=fractions`` to force the pure-Python implementation
 (``python3 perfbench/backends.py`` runs the benchmark once per backend).
 """
 
-import math
 import os
 from fractions import Fraction
 
@@ -79,19 +78,6 @@ def floor_q(x) -> int:
 def mod_q(x, m):
     """x reduced mod m into [0, m); m a positive rational."""
     return x - m * floor_q(x / m)
-
-
-def floor_sqrt(x) -> int:
-    """Largest integer k >= 0 with k*k <= x, for a rational x >= 0."""
-    a, b = num(x), den(x)
-    if a < 0:
-        raise ValueError("negative radicand")
-    k = math.isqrt(a // b)
-    while (k + 1) * (k + 1) * b <= a:
-        k += 1
-    while k * k * b > a:
-        k -= 1
-    return k
 
 
 def fmt_q(x) -> str:

@@ -134,7 +134,10 @@ def _parse_token(token: str) -> Lattice:
     token = token.strip()
     if token.endswith(")") and "(" in token:
         base, _, scale = token[:-1].partition("(")
-        n = qq(scale)
+        try:
+            n = qq(scale)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in the scale of {token!r}") from None
         if base == "U":
             return Lattice(_freeze([[0, n], [n, 0]]), name=f"U({fmt_q(n)})")
         lat = _parse_token(base)
@@ -446,9 +449,8 @@ def disc_forms_isomorphic(m1: Lattice, m2: Lattice, flip_sign: bool = False) -> 
     if sorted(d1.invariant_factors) != sorted(d2.invariant_factors):
         return False
 
-    def target_q(el):
-        qv = d1.q(el)
-        return mod_q(-qv, qq(2)) if flip_sign else qv
+    def target(value, modulus):
+        return mod_q(-value, qq(modulus)) if flip_sign else value
 
     elems2 = list(d2.elements())
     orders2 = {el: _element_order(d2, el) for el in elems2}
@@ -463,9 +465,13 @@ def disc_forms_isomorphic(m1: Lattice, m2: Lattice, flip_sign: bool = False) -> 
             return _is_isomorphism(d1, d2, gens1, images, flip_sign)
         g = gens1[idx]
         want_order = d1.invariant_factors[idx]
-        want_q = target_q(g)
+        want_q = target(d1.q(g), 2)
+        # the image must pair with each placed image as g pairs with its generator
+        want_b = [target(d1.b(g, h), 1) for h in gens1[:idx]]
         for cand in elems2:
             if orders2[cand] != want_order or q2[cand] != want_q:
+                continue
+            if any(d2.b(cand, im) != b for im, b in zip(images, want_b)):
                 continue
             if extend(idx + 1, images + [cand]):
                 return True

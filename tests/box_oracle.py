@@ -11,8 +11,14 @@ from collections import Counter
 
 from moduliq import qq
 from moduliq._linalg import mat_inverse
-from moduliq._rational import as_int, den, floor_sqrt
+from moduliq._rational import as_int, den, num
 from moduliq.lattices import discriminant_group
+
+
+def floor_sqrt(x) -> int:
+    """Largest integer k >= 0 with k*k <= x, for a rational x >= 0:
+    floor(sqrt(x)) = isqrt(floor(x))."""
+    return math.isqrt(num(x) // den(x))
 
 
 def box_norm_counts(lattice, coset, lowest):

@@ -130,6 +130,19 @@ def test_prec_must_be_rational(capsys):
         assert "--prec" in line
 
 
+def test_lattice_scale_must_have_a_nonzero_denominator(capsys):
+    # the ZeroDivisionError used to escape the argument parser, so the line
+    # read "error: Fraction(1, 0)" and named no argument
+    for argv in (
+        ["lattice", "--name", "A2(1/0)", "--json"],
+        ["lattice", "--name", "U(2/0)+A2"],
+        ["theta", "--lattice", "E6+A2(1/0)", "--prec", "2"],
+    ):
+        line = _usage_error(capsys, argv)
+        assert line.startswith(f"error: argument {argv[1]}: "), line
+        assert "zero denominator" in line
+
+
 def test_prec_below_the_series_start(capsys):
     # 1/Delta starts at q^-1: below it there is no series to invert
     for argv in (["borcherds", "--input", "delta", "--prec", "-3"], ["ma-input", "--prec", "-5"]):

@@ -254,10 +254,12 @@ def test_disc_form_isomorphism():
     assert disc_forms_isomorphic(a2, a2_pos, flip_sign=True)
 
 
-# discriminant forms of order 2 to 9, well within ISO_LIMIT; A2(-1) and E6
+# discriminant forms of order 2 to 27, well within ISO_LIMIT; A2(-1) and E6
 # carry the form of A2 with q negated, and E6+A2 carries the form of U(3).
-# The search takes up to 3 s to refuse an order-27 pair, so none is drawn.
-ISO_POOL = ("A1", "A1+A1", "A2", "A2(-1)", "E6", "A2+A2", "E6+A2", "U(3)")
+# A2+A2+A2 and U(3)+A2 share their group (Z/3)^3 but not their form.
+ISO_POOL = (
+    "A1", "A1+A1", "A2", "A2(-1)", "E6", "A2+A2", "E6+A2", "U(3)", "A2+A2+A2", "U(3)+A2",
+)
 
 
 @st.composite
