@@ -435,11 +435,16 @@ def overlattice(lattice: Lattice, glue_vectors) -> Lattice:
 
 
 # ---------------------------------------------------------------------------
-# discriminant-form isomorphism (brute force)
+# discriminant-form isomorphism (backtracking search)
 
 
 def disc_forms_isomorphic(m1: Lattice, m2: Lattice, flip_sign: bool = False) -> bool:
-    """Search for a q-preserving isomorphism A_{M1} -> A_{M2} (or q -> -q)."""
+    """Search for a q-preserving isomorphism A_{M1} -> A_{M2} (or q -> -q).
+
+    Generator images are placed one at a time, each with the order and q of
+    its generator and its pairing b with every image already placed; each
+    complete choice is checked on all of A_{M1}.
+    """
     d1 = discriminant_group(m1)
     d2 = discriminant_group(m2)
     if d1.order != d2.order:
@@ -466,7 +471,6 @@ def disc_forms_isomorphic(m1: Lattice, m2: Lattice, flip_sign: bool = False) -> 
         g = gens1[idx]
         want_order = d1.invariant_factors[idx]
         want_q = target(d1.q(g), 2)
-        # the image must pair with each placed image as g pairs with its generator
         want_b = [target(d1.b(g, h), 1) for h in gens1[:idx]]
         for cand in elems2:
             if orders2[cand] != want_order or q2[cand] != want_q:
