@@ -303,10 +303,10 @@ def _slice_det(coeff_ints):
     Sylvester matrix of d/dx0 and d/dx1 of
     x0^6 x1^6 + t * sum_i coeff_ints[i] * (slice monomial i).
 
-    Each entry is c0 + c1 t.  Every coefficient of det(t) is at most the
-    product of the rows' l1 norms of their (c0, c1) in absolute value, so with
-    2^(B-1) above that bound det(2^B) determines them as balanced base-2^B
-    digits.
+    Each entry is c0 + c1 t.  In absolute value every coefficient of det(t)
+    is at most the product over the rows of their sums of |c0| + |c1|, so
+    with 2^(B-1) above that bound the balanced base-2^B digits of det(2^B)
+    are the coefficients.
     """
     forms = {(6, 6): (1, 0)}
     forms.update((m, (0, c)) for m, c in zip(SLICE_MONOMIALS, coeff_ints))

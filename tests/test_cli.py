@@ -131,8 +131,7 @@ def test_prec_must_be_rational(capsys):
 
 
 def test_lattice_scale_must_have_a_nonzero_denominator(capsys):
-    # the ZeroDivisionError used to escape the argument parser, so the line
-    # read "error: Fraction(1, 0)" and named no argument
+    # the error line names the argument that holds the scale
     for argv in (
         ["lattice", "--name", "A2(1/0)", "--json"],
         ["lattice", "--name", "U(2/0)+A2"],

@@ -137,8 +137,7 @@ def test_slice_det_digits_keep_signs_and_zeros():
 
 
 def test_disc12_direction_needs_ten_entries():
-    # a 9-entry direction used to drop the last monomial, an 11-entry one to
-    # ignore its last entry
+    # one entry per slice monomial: none is dropped or ignored
     for direction in ((1,) * 9, (1,) * 11, ()):
         with pytest.raises(ValueError, match="needs 10 entries"):
             disc12_vanishing_order(direction=direction)
