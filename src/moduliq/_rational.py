@@ -9,6 +9,9 @@ the code relies on.
 
 Set ``MODULIQ_BACKEND=fractions`` to force the pure-Python implementation
 (``python3 perfbench/backends.py`` runs the benchmark once per backend).
+
+``Frozen`` is the base of the package's immutable value records; it lives
+here because every layer already imports this module.
 """
 
 import os
@@ -85,3 +88,39 @@ def fmt_q(x) -> str:
     if den(x) == 1:
         return str(num(x))
     return f"{num(x)}/{den(x)}"
+
+
+class Frozen:
+    """An immutable value record.  A subclass names its fields in ``_fields``
+    and ``__slots__``; the fields are set once, by ``Frozen.__init__`` in
+    field order.  ``==`` and ``hash`` read the class and the field values, so
+    a record never equals a bare tuple, and assigning an attribute raises
+    AttributeError."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init__(self, *values):
+        for field, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, field, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__name__}({fields})"

@@ -7,10 +7,10 @@ divisor formula is absorbed by pairing a with -a, and self-paired classes
 carry the raw coefficient.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
-from ._rational import as_int, fmt_q, is_integer, mod_q, qq
+from ._rational import Frozen, as_int, fmt_q, is_integer, mod_q, qq
 from .lattices import Lattice, build_standard, discriminant_group
 from .modforms import VVForm, obstruction_cusp_basis, obstruction_eisenstein, theta_series
 from .qseries import check_terms, cutoff, inverse_delta
@@ -29,11 +29,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HeegnerCombo:
+class HeegnerCombo(Frozen):
     """Map (type label, norm) -> rational multiplicity, norms negative."""
 
-    entries: tuple  # sorted tuple of ((label, norm), multiplicity)
+    _fields = __slots__ = ("entries",)  # sorted tuple of ((label, norm), multiplicity)
 
     @staticmethod
     def make(entries: dict) -> "HeegnerCombo":
@@ -63,11 +62,9 @@ class HeegnerCombo:
         )
 
 
-@dataclass(frozen=True)
-class ProductCertificate:
-    exists: bool
-    weight: object  # rational when exists, else None
-    violated_pairings: tuple  # ((cusp form id, nonzero rational), ...)
+# weight: rational when exists, else None; violated_pairings: ((cusp form id,
+# nonzero rational), ...)
+ProductCertificate = namedtuple("ProductCertificate", "exists weight violated_pairings")
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ of the Gram matrix, read from the ``CycNum`` triples, with w^2 = -1 - w;
 each output entry becomes one rational or one ``CycNum.of`` triple.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from ._rational import qq
+from ._rational import Frozen, qq
 from .lattices import Lattice
 from .scalars import CYC_ONE, CYC_ZERO, OMEGA, SQRT_M3, CycNum, cyc, int_pairs
 
@@ -23,9 +23,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HermLattice:
-    gram: tuple  # CycNum entries, equal to its own conjugate transpose
+class HermLattice(Frozen):
+    _fields = __slots__ = ("gram",)  # CycNum entries, equal to its own conjugate transpose
 
     @property
     def rank(self) -> int:
@@ -136,12 +135,8 @@ def trace_lattice(h: HermLattice) -> Lattice:
     return Lattice(tuple(map(tuple, out)))
 
 
-@dataclass(frozen=True)
-class ReflectionReport:
-    preserves_lattice: bool
-    preserves_form: bool
-    order: object  # int or None
-    matrix: tuple
+# order: int or None
+ReflectionReport = namedtuple("ReflectionReport", "preserves_lattice preserves_form order matrix")
 
 
 _UNITS = tuple(s * OMEGA**k for s in (CYC_ONE, -CYC_ONE) for k in range(3))

@@ -12,7 +12,9 @@ Reference tables for the ordered-points spaces are cited data (Kirwan 1989;
 Kirwan-Lee-Weintraub 1987) shipped as fixtures, never recomputed here.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
+
+from ._rational import Frozen
 
 __all__ = [
     "BettiTable",
@@ -31,12 +33,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PoincarePoly:
+class PoincarePoly(Frozen):
     """Polynomial in t with non-negative integer coefficients, possibly truncated."""
 
-    coeffs: tuple  # coefficient of t^i at index i
-    truncation: object = None  # degree bound (exclusive) or None
+    _fields = __slots__ = (
+        "coeffs",  # coefficient of t^i at index i
+        "truncation",  # degree bound (exclusive) or None
+    )
 
     @staticmethod
     def make(coeffs, truncation=None) -> "PoincarePoly":
@@ -113,11 +116,10 @@ def _product(a: PoincarePoly, b: PoincarePoly, cutoff: int) -> PoincarePoly:
     return PoincarePoly.make(coeffs, cutoff)
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Frozen):
     """Betti numbers for degrees 0..2n; odd entries vanish throughout."""
 
-    dims: tuple
+    _fields = __slots__ = ("dims",)
 
     @staticmethod
     def from_even(values) -> "BettiTable":
@@ -153,11 +155,9 @@ def binary_form_weights(d: int):
     return [d - 2 * i for i in range(d + 1)]
 
 
-@dataclass(frozen=True)
-class StrataReport:
-    indexing_set: tuple          # closest points beta >= 0
-    codims: tuple                # (beta, d(beta)) for beta > 0
-    min_double_codim: int        # min over nonzero beta of 2 d(beta)
+# indexing_set: closest points beta >= 0; codims: (beta, d(beta)) for beta > 0;
+# min_double_codim: min over nonzero beta of 2 d(beta)
+StrataReport = namedtuple("StrataReport", "indexing_set codims min_double_codim")
 
 
 def kirwan_strata(d: int) -> StrataReport:

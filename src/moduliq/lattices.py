@@ -3,18 +3,23 @@
 Conventions: a lattice is a free Z-module with an exact symmetric Gram
 matrix; root lattices (A2, E6, E8) are negative definite.  The discriminant
 group A_M = M*/M is presented through the Smith normal form of the Gram
-matrix, with generator lifts stored as rational coordinate vectors in the
-lattice basis, so the quadratic form q (valued in Q/2Z) and the bilinear
-form b (valued in Q/Z) are evaluable on every element.
+matrix, with generator lifts g_i stored as rational coordinate vectors in
+the lattice basis.  The forms are read from one int table, a finite
+quadratic module in the sense of Nikulin (1979): with N the exponent of A_M,
+Q_i = N <g_i, g_i> mod 2N and B_ij = N <g_i, g_j> mod N, so the quadratic
+form q (valued in Q/2Z) and the bilinear form b (valued in Q/Z) of every
+element are int sums mod 2N and N.  Both equal <x, x> and <x, y> of the
+unreduced lifts x = sum a_i g_i, odd lattices included.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
+from operator import mul
 
 from . import _linalg
-from ._rational import as_int, den, fmt_q, is_integer, mod_q, num, qq
+from ._rational import Frozen, as_int, den, fmt_q, is_integer, mod_q, num, qq
 
 __all__ = [
     "Lattice",
@@ -37,10 +42,23 @@ WEIL_LIMIT = 81  # |A_M| for modforms.weil_rep: n x n Q(w) matrices, 81 takes se
 WALK_LIMIT = 200_000  # leaves of one shortvec walk, counted per level-1 range; about 0.3 s
 
 
-@dataclass(frozen=True)
-class Lattice:
-    gram: tuple
-    name: str = ""
+class Lattice(Frozen):
+    """A Gram matrix (tuple of tuples of rationals) and an optional name."""
+
+    _fields = ("gram", "name")
+    __slots__ = _fields + ("_hash",)
+
+    def __init__(self, gram: tuple, name: str = ""):
+        super().__init__(gram, name)
+
+    def __hash__(self):
+        # computed once: each lru_cache lookup hashes its key, and hashing the
+        # Fraction Gram of L_dm takes about 0.2 ms
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.gram, self.name)))
+            return self._hash
 
     @property
     def rank(self) -> int:
@@ -170,13 +188,31 @@ def build_standard(name: str) -> Lattice:
 # discriminant groups
 
 
-@dataclass(frozen=True)
-class DiscGroup:
-    """A_M = M*/M with generator lifts in rational lattice coordinates."""
+class DiscGroup(Frozen):
+    """A_M = M*/M with generator lifts in rational lattice coordinates and
+    the int table of its forms: exponent N, q_table[i] = N <g_i, g_i> mod 2N
+    and b_table[i][j] = N <g_i, g_j> mod N for the lifts g_i."""
 
-    invariant_factors: tuple
-    lifts: tuple  # one rational coordinate vector per invariant factor
-    lattice: Lattice
+    _fields = __slots__ = (
+        "invariant_factors",
+        "lifts",  # one rational coordinate vector per invariant factor
+        "lattice",
+        "exponent",
+        "q_table",
+        "b_table",
+    )
+
+    def __init__(self, invariant_factors: tuple, lifts: tuple, lattice: Lattice):
+        n = math.lcm(*invariant_factors)
+        pairs = [[as_int(n * lattice.inner(u, v)) for v in lifts] for u in lifts]
+        super().__init__(
+            invariant_factors,
+            lifts,
+            lattice,
+            n,
+            tuple(row[i] % (2 * n) for i, row in enumerate(pairs)),
+            tuple(tuple(x % n for x in row) for row in pairs),
+        )
 
     @property
     def order(self) -> int:
@@ -210,15 +246,23 @@ class DiscGroup:
         return tuple(v)
 
     def q(self, el):
-        """Quadratic form value in [0, 2)."""
-        v = self.lift(el)
-        return mod_q(self.lattice.inner(v, v), qq(2))
+        """Quadratic form value in [0, 2): <x, x> mod 2 for x = lift(el)."""
+        q, b = self.q_table, self.b_table
+        s = 0
+        for i, a in enumerate(el):
+            if a:
+                s += a * (a * q[i] + 2 * sum(map(mul, el[i + 1 :], b[i][i + 1 :])))
+        n = self.exponent
+        return qq(s % (2 * n), n)
 
     def b(self, e1, e2):
-        """Bilinear form value in [0, 1)."""
-        return mod_q(
-            self.lattice.inner(self.lift(e1), self.lift(e2)), qq(1)
-        )
+        """Bilinear form value in [0, 1): <lift(e1), lift(e2)> mod 1."""
+        s = 0
+        for a, row in zip(e1, self.b_table):
+            if a:
+                s += a * sum(map(mul, e2, row))
+        n = self.exponent
+        return qq(s % n, n)
 
     def reduce_vector(self, v):
         """Class of a dual vector (rational coordinates) in A_M."""
@@ -324,13 +368,10 @@ def pairing_census(lattice: Lattice) -> dict:
 # isometries
 
 
-@dataclass(frozen=True)
-class IsometryReport:
-    is_isometry: bool
-    order: object  # int or None
-    fixed_rank: int
-    disc_action_trivial: bool
-    min_poly_check: bool  # g^2 + g + 1 = 0
+# order: int or None; min_poly_check: g^2 + g + 1 = 0
+IsometryReport = namedtuple(
+    "IsometryReport", "is_isometry order fixed_rank disc_action_trivial min_poly_check"
+)
 
 
 def analyze_isometry(lattice: Lattice, matrix) -> IsometryReport:

@@ -17,9 +17,9 @@ K-equivalence of the two resolutions.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from ._rational import fmt_q, qq
+from ._rational import Frozen, fmt_q, qq
 from .scalars import padic_valuation
 
 __all__ = [
@@ -48,12 +48,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Lin:
+class Lin(Frozen):
     """Affine expression a + b*x in the shared unknown."""
 
-    a: object
-    b: object = 0
+    _fields = __slots__ = ("a", "b")
+
+    def __init__(self, a, b=0):
+        super().__init__(a, b)
 
     @staticmethod
     def of(v) -> "Lin":
@@ -90,11 +91,10 @@ class Lin:
 UNKNOWN = Lin(qq(0), qq(1))
 
 
-@dataclass(frozen=True)
-class DivisorExpr:
+class DivisorExpr(Frozen):
     """Formal linear combination of named classes, coefficients affine in x."""
 
-    coeffs: tuple  # sorted tuple of (name, Lin)
+    _fields = __slots__ = ("coeffs",)  # sorted tuple of (name, Lin)
 
     @staticmethod
     def make(mapping: dict) -> "DivisorExpr":
@@ -158,20 +158,19 @@ class DivisorExpr:
         return " + ".join(f"({c})*{n}" for n, c in self.coeffs)
 
 
-@dataclass(frozen=True)
-class Relation:
-    name: str
-    lhs: DivisorExpr
-    rhs: DivisorExpr
+class Relation(Frozen):
+    """A named equation lhs = rhs of two DivisorExpr."""
+
+    _fields = __slots__ = ("name", "lhs", "rhs")
 
     def residual(self) -> DivisorExpr:
         return self.lhs - self.rhs
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    relations: tuple
-    independent: tuple = ()
+class RelationSet(Frozen):
+    """Relations and the names of the classes that span freely."""
+
+    _fields = __slots__ = ("relations", "independent")
 
     @staticmethod
     def make(relations, independent=()) -> "RelationSet":
@@ -281,12 +280,10 @@ def solve_unknown(rels: RelationSet, unknown: str = "x"):
     return _scan_solution(leftover)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    consistent: bool
-    conflicts: tuple          # names of relations whose removal restores consistency
-    residuals: tuple          # leftover combinations of independent classes
-    repairs: tuple            # (relation, class, side, repaired coefficient)
+# conflicts: names of relations whose removal restores consistency; residuals:
+# leftover combinations of independent classes; repairs: (relation, class,
+# side, repaired coefficient)
+ConsistencyReport = namedtuple("ConsistencyReport", "consistent conflicts residuals repairs")
 
 
 def _leftover_numeric(rels: RelationSet, skip=None):
@@ -517,11 +514,9 @@ def top_intersection_T9():
     return qq(per_component * components) / math.factorial(12)
 
 
-@dataclass(frozen=True)
-class KEquivalenceReport:
-    delta9_required: object
-    valuation_at_3: int
-    contradiction: bool
+KEquivalenceReport = namedtuple(
+    "KEquivalenceReport", "delta9_required valuation_at_3 contradiction"
+)
 
 
 def k_equiv_obstruction() -> KEquivalenceReport:

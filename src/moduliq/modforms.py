@@ -14,11 +14,11 @@ type-classes of the discriminant group and are returned as exact q-series.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import _linalg
-from ._rational import as_int, den, floor_q, is_integer, mod_q, qq
+from ._rational import Frozen, as_int, den, floor_q, is_integer, mod_q, qq
 from .lattices import WEIL_LIMIT, Lattice, discriminant_group, elements_by_type
 from .qseries import QSeries, check_terms, cutoff, eta_power
 from .scalars import CYC_ONE, CYC_ZERO, OMEGA_POWERS, CycNum, cyc, omega_pow, root_of_unity_6
@@ -81,26 +81,21 @@ def _e3(x) -> CycNum:
     return omega_pow(as_int(scaled))
 
 
-@dataclass(frozen=True)
-class MatrixRep:
+class MatrixRep(Frozen):
     """A pair of exact matrices for the standard SL2(Z) generators."""
 
-    labels: tuple
-    mat_t: tuple
-    mat_s: tuple
+    _fields = __slots__ = ("labels", "mat_t", "mat_s")
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class WeilRep:
-    lattice: Lattice
-    dual: bool
-    elements: tuple
-    mat_t: tuple
-    mat_s: tuple
+class WeilRep(Frozen):
+    """The T and S matrices of the (dual) Weil representation on C[A_M],
+    indexed by the elements of A_M in iteration order."""
+
+    _fields = __slots__ = ("lattice", "dual", "elements", "mat_t", "mat_s")
 
     @property
     def dim(self) -> int:
@@ -207,13 +202,7 @@ def _scale_matrix(m, scalar):
     return tuple(tuple(scalar * x for x in row) for row in m)
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    total: int
-    eisenstein: int
-    cusp: int
-    alphas: tuple
-    d: int
+DimensionReport = namedtuple("DimensionReport", "total eisenstein cusp alphas d")
 
 
 def vvmf_dimension_report(k, rep: MatrixRep) -> DimensionReport:
@@ -311,13 +300,17 @@ def eisenstein_level3(k: int, label, prec) -> QSeries:
 # vector-valued forms on the type classes
 
 
-@dataclass(frozen=True)
-class VVForm:
+class VVForm(Frozen):
     """Tuple of q-series indexed by type classes of the discriminant group."""
 
-    components: dict
-    weight: object
-    rep: str  # "rho" (inputs to the product) or "rho*" (obstruction side)
+    _fields = __slots__ = (
+        "components",  # dict: type label -> QSeries
+        "weight",
+        "rep",  # "rho" (inputs to the product) or "rho*" (obstruction side)
+    )
+
+    def __init__(self, components: dict, weight, rep: str):
+        super().__init__(components, weight, rep)
 
     def component(self, label: str) -> QSeries:
         return self.components[label]

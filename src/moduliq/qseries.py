@@ -24,9 +24,8 @@ that would take hours is refused at once.
 
 import bisect
 import math
-from dataclasses import dataclass
 
-from ._rational import as_int, den, floor_q, fmt_q, num, qq
+from ._rational import Frozen, as_int, den, floor_q, fmt_q, num, qq
 from .scalars import CYC_ONE, CYC_ZERO, CycNum, cyc, int_pairs
 
 __all__ = [
@@ -57,11 +56,20 @@ def _key(term) -> int:
     return term[0]
 
 
-@dataclass(frozen=True)
-class QSeries:
-    n_den: int       # exponent grid q^(k / n_den)
-    terms: tuple     # sorted tuple of (k, CycNum), no zero coefficients
-    trunc: object    # rational; exponents >= trunc are unknown
+class QSeries(Frozen):
+    _fields = __slots__ = (
+        "n_den",  # exponent grid q^(k / n_den)
+        "terms",  # sorted tuple of (k, CycNum), no zero coefficients
+        "trunc",  # rational; exponents >= trunc are unknown
+    )
+
+    def __init__(self, n_den: int, terms: tuple, trunc):
+        # every kernel builds its result here: three direct slot writes
+        # instead of Frozen's loop
+        init = object.__setattr__
+        init(self, "n_den", n_den)
+        init(self, "terms", terms)
+        init(self, "trunc", trunc)
 
     # -- construction -----------------------------------------------------
 

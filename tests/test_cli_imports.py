@@ -1,6 +1,7 @@
 """Import boundaries of the command line: a subcommand loads only the
-computation layers it runs, and the frontend does without ``dataclasses``
-(whose import pulls in inspect, ast and tokenize).  Each check starts a fresh
+computation layers it runs, and no subcommand loads ``dataclasses`` (whose
+import pulls in inspect, ast and tokenize): the package's records are
+namedtuples and ``__slots__`` classes.  Each check starts a fresh
 interpreter with ``PYTHONPATH=src``, runs command lines through
 ``moduliq.cli.run`` and reads ``sys.modules`` afterwards."""
 
@@ -11,11 +12,13 @@ import sys
 from pathlib import Path
 
 from moduliq.cli import COMMANDS
+from test_golden import RECORDS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# argv: a JSON list of command lines; prints [exit codes, loaded modules], the
-# modules being those of the package (without the prefix) and dataclasses
+# argv: a JSON list of command lines and a JSON list of watched modules;
+# prints [exit codes, loaded modules], the modules being those of the package
+# (without the prefix) and the watched ones
 _PROBE = """
 import contextlib, io, json, sys
 import moduliq.cli
@@ -23,8 +26,9 @@ codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(moduliq.cli.run(argv)[1])
+watched = json.loads(sys.argv[2])
 loaded = sorted(m.removeprefix("moduliq.") for m in sys.modules
-                if m.startswith("moduliq.") or m == "dataclasses")
+                if m.startswith("moduliq.") or m in watched)
 print(json.dumps([codes, loaded]))
 """
 
@@ -33,10 +37,10 @@ print(json.dumps([codes, loaded]))
 FRONTEND = {"cli", "_rational", "certified"}
 
 
-def _loaded(*argvs):
+def _loaded(*argvs, watched=("dataclasses",)):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", _PROBE, json.dumps(argvs), json.dumps(watched)],
         env=env, capture_output=True, text=True, check=True,
     )
     codes, modules = json.loads(proc.stdout)
@@ -55,9 +59,8 @@ def test_help_loads_no_layer():
 
 
 def test_t9_loads_the_ledger_alone():
-    # no lattices, shortvec, qseries, modforms, borcherds, kirwan or luna;
-    # the ledger still declares dataclasses
-    assert _loaded(["t9"]) == ([0], FRONTEND | {"ledger", "scalars", "dataclasses"})
+    # no lattices, shortvec, qseries, modforms, borcherds, kirwan or luna
+    assert _loaded(["t9"]) == ([0], FRONTEND | {"ledger", "scalars"})
 
 
 def test_scalars_load_no_dataclasses():
@@ -73,3 +76,12 @@ def test_scalars_load_no_dataclasses():
 def test_luna_loads_the_slice_layer_alone():
     # none of the lattice or series layers
     assert _loaded(["luna"]) == ([0], FRONTEND | {"luna"})
+
+
+def test_no_subcommand_loads_dataclasses_or_inspect():
+    # every golden command line, so every row of COMMANDS, in one interpreter
+    argvs = [line.split() for line in RECORDS]
+    assert {argv[0] for argv in argvs} == {cmd.name for cmd in COMMANDS}
+    codes, modules = _loaded(*argvs, watched=("dataclasses", "inspect"))
+    assert codes == [0] * len(argvs)
+    assert not modules & {"dataclasses", "inspect"}
