@@ -12,7 +12,11 @@ its outputs must meet.  ``run`` does the rest for every row.
 
 A subcommand imports only the layers it runs: each computation layer is a
 ``_Layer`` that imports its module on first use, so ``moduliq t9`` loads the
-ledger and not the lattice enumeration, and ``--help`` loads no layer.
+ledger and not the lattice enumeration, and ``--help`` loads no layer.  It
+builds only its own parser, too: when the first argument names a row,
+``run`` adds that row's subparser alone; every other command line (none,
+``--help``, a leading option, an unknown subcommand) gets the full tree, so
+the help texts and argparse's error lines are those of the full tree.
 """
 
 import argparse
@@ -403,7 +407,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(commands) -> argparse.ArgumentParser:
     parser = _Parser(
         prog="moduliq",
         description="Exact lattice, modular-form, and moduli-ledger computations",
@@ -412,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--out", metavar="FILE", help="write the JSON record to FILE")
     sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
-    for cmd in COMMANDS:
+    for cmd in commands:
         p = sub.add_parser(cmd.name, parents=[common], help=cmd.help)
         for flag, _parse, options in cmd.args:
             p.add_argument(flag, **options)
@@ -439,7 +443,8 @@ def _execute(cmd: Command, args):
 
 def run(argv):
     """Execute a command line; returns (CommandResult or None, exit code)."""
-    parser = _build_parser()
+    named = [cmd for cmd in COMMANDS if argv and cmd.name == argv[0]]
+    parser = _build_parser(named or COMMANDS)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -176,10 +176,9 @@ def build_standard(name: str) -> Lattice:
         "II_2_26": "U+U+E8+E8+E8",
         "L_dm": "U+U(3)+E8+E8",
     }
-    expr = aliases.get(name, name)
-    parts = [p for p in expr.split("+") if p.strip()]
-    if not parts:
-        raise ValueError(f"unknown lattice name {name!r}")
+    parts = aliases.get(name, name).split("+")
+    if not all(p.strip() for p in parts):
+        raise ValueError(f"empty summand in {name!r}")
     lat = direct_sum(*[_parse_token(p) for p in parts])
     return Lattice(lat.gram, name=name)
 

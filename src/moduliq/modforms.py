@@ -56,6 +56,9 @@ def theta_series(lattice: Lattice, coset, prec) -> QSeries:
     prec = qq(prec)
     if prec <= 0:
         raise ValueError("theta precision must be positive")
+    if not lattice.is_even():
+        # the exponent grid -q/2 + Z below holds only for even lattices
+        raise ValueError("theta series needs an even lattice")
     disc = discriminant_group(lattice)
     el = _resolve_coset(disc, coset)
     # exponents run over -q/2 + Z, from the least non-negative one e0 to the

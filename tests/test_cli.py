@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,6 +141,48 @@ def test_lattice_scale_must_have_a_nonzero_denominator(capsys):
         line = _usage_error(capsys, argv)
         assert line.startswith(f"error: argument {argv[1]}: "), line
         assert "zero denominator" in line
+
+
+def test_lattice_name_needs_every_summand(capsys):
+    # an empty summand used to be dropped: 'A2+' ran as A2, '+A2++E8' as A2+E8
+    for argv in (
+        ["lattice", "--name", "A2+"],
+        ["lattice", "--name", "+A2++E8", "--json"],
+        ["theta", "--lattice", "E6++A2", "--prec", "2"],
+        ["quasi-pullback", "--lattice", " + "],
+    ):
+        line = _usage_error(capsys, argv)
+        assert line == f"error: argument {argv[1]}: empty summand in {argv[2]!r}", line
+
+
+def test_theta_needs_an_even_lattice(capsys):
+    # A1(1/2) is odd: its theta series 1 + 2q^(1/2) + ... is off the grid
+    # -q/2 + Z; --prec 1 used to print '1' and --prec 2 'error: 1/2 is not an integer'
+    for prec in ("1", "2"):
+        line = _usage_error(capsys, ["theta", "--lattice", "A1(1/2)", "--prec", prec])
+        assert line == "error: theta series needs an even lattice"
+
+
+def test_one_subparser_reads_as_the_full_tree(capsys):
+    # run builds only the named row's subparser; its usage errors must be
+    # those of the full tree
+    from moduliq import cli
+
+    for argv in (
+        ["theta"],
+        ["lattice", "--name"],
+        ["eisenstein", "--weight", "4", "--label", "1,0"],
+        ["betti", "--space", "X"],
+        ["t9", "--bogus"],
+        ["kequiv", "extra"],
+        ["weil", "--dual", "--lattice"],
+    ):
+        assert run(argv) == (None, 1)
+        one = capsys.readouterr()
+        with pytest.raises(SystemExit):
+            cli._build_parser(cli.COMMANDS).parse_args(argv)
+        full = capsys.readouterr()
+        assert (one.out, one.err) == (full.out, full.err)
 
 
 def test_prec_below_the_series_start(capsys):

@@ -1,15 +1,16 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_linalg import unimodular
 from test_shortvec import skew
 from moduliq import qq
 from moduliq._linalg import mat_vec
-from moduliq._rational import is_integer
+from moduliq._rational import is_integer, mod_q
 from moduliq.lattices import (
+    ISO_LIMIT,
     Lattice,
     analyze_isometry,
     build_standard,
@@ -70,21 +71,24 @@ def test_discriminant_lifts_are_reduced_generators():
             assert orders[0] == d
 
 
+# a unimodular change of basis of E8 whose Smith transforms grow to millions
+# of bits
+SKEWED_E8 = Lattice(tuple(tuple(qq(x) for x in row) for row in (
+    (-12, 2, 1, 0, -1, 0, -21, -3),
+    (2, -16, -1, 9, 11, 7, 2, 0),
+    (1, -1, -2, 1, 1, 0, 5, 0),
+    (0, 9, 1, -6, -6, -4, -2, 0),
+    (-1, 11, 1, -6, -8, -5, 0, 0),
+    (0, 7, 0, -4, -5, -4, 2, 0),
+    (-21, 2, 5, -2, 0, 2, -50, -6),
+    (-3, 0, 0, 0, 0, 0, -6, -2),
+)))
+
+
 def test_discriminant_group_of_a_skewed_e8_basis():
-    # a unimodular change of basis of E8 whose Smith transforms grow to
-    # millions of bits; the group must still come out trivial, quickly, and
-    # the walk in its LLL-reduced basis must find the E8 theta series
-    gram = [
-        [-12, 2, 1, 0, -1, 0, -21, -3],
-        [2, -16, -1, 9, 11, 7, 2, 0],
-        [1, -1, -2, 1, 1, 0, 5, 0],
-        [0, 9, 1, -6, -6, -4, -2, 0],
-        [-1, 11, 1, -6, -8, -5, 0, 0],
-        [0, 7, 0, -4, -5, -4, 2, 0],
-        [-21, 2, 5, -2, 0, 2, -50, -6],
-        [-3, 0, 0, 0, 0, 0, -6, -2],
-    ]
-    lat = Lattice(tuple(tuple(qq(x) for x in row) for row in gram))
+    # the group must still come out trivial, quickly, and the walk in its
+    # LLL-reduced basis must find the E8 theta series
+    lat = SKEWED_E8
     assert lat.det() == 1 and lat.signature() == (0, 8)
     assert discriminant_group(lat).invariant_factors == ()
     assert str(theta_series(lat, None, 3)) == "1 + 240*q + 2160*q^2"
@@ -290,3 +294,44 @@ def test_census_limits_name_themselves():
     for census in (classify_disc_elements, pairing_census):
         with pytest.raises(ValueError, match=r"^\|A_M\| = 19683 exceeds CENSUS_LIMIT = 10000$"):
             census(big)
+
+
+# every lattice named in this file with |A_M| <= ISO_LIMIT (the randomized
+# glue test draws sums of A2, A2(-1) and U(3)), the skewed E8 basis, the odd
+# lattice A1(3/2), whose q is read on the unreduced lifts, and A1+A1+A2, whose
+# invariant factors (2, 6) differ, so the exponent is not every factor
+FORM_POOL = tuple(build_standard(name) for name in (
+    "A1", "A1+A1", "A2", "A2(-1)", "A2+A1", "A2+A2", "A2+A2+A2", "A2+A2+A2+A2",
+    "A2+A2(-1)+U(3)", "E6", "E8", "E6+A2", "U(3)", "U(3)+U", "U(3)+A2", "L_dm",
+    "U+U+E8+E6+A2", "II_2_26", "A1(3/2)", "A1+A1+A2",
+)) + (SKEWED_E8,)
+
+
+def check_int_forms(disc, partners):
+    """q and b of the int table against <x, y> of the Fraction lifts: q on
+    every element, b on every element against each of partners."""
+    for e1 in disc.elements():
+        v1 = disc.lift(e1)
+        assert disc.q(e1) == mod_q(disc.lattice.inner(v1, v1), qq(2))
+        for e2 in partners:
+            assert disc.b(e1, e2) == mod_q(disc.lattice.inner(v1, disc.lift(e2)), qq(1))
+
+
+def test_the_form_pool_is_within_iso_limit():
+    assert all(discriminant_group(lat).order <= ISO_LIMIT for lat in FORM_POOL)
+    assert not build_standard("A1(3/2)").is_even()
+    assert discriminant_group(build_standard("A1+A1+A2")).invariant_factors == (2, 6)
+
+
+@pytest.mark.parametrize("lat", FORM_POOL, ids=lambda lat: lat.name or "skewed E8")
+@settings(max_examples=3)
+@given(data=st.data())
+def test_int_forms_match_the_fraction_lifts(lat, data):
+    # b on every pair up to order 27; against 9 drawn partners above that
+    # (order 81, where all pairs take seconds)
+    for m in (lat, skew(lat, data.draw(unimodular(lat.rank)))):
+        disc = discriminant_group(m)
+        elements = list(disc.elements())
+        if len(elements) > 27:
+            elements = data.draw(st.lists(st.sampled_from(elements), min_size=9, max_size=9))
+        check_int_forms(disc, elements)

@@ -290,3 +290,10 @@ def test_obstruction_tuples_satisfy_s_law_numerically():
 def test_theta_rejects_coset_of_wrong_length():
     with pytest.raises(ValueError):
         theta_series(build_standard("E6"), (1, 2), 3)
+
+
+def test_theta_needs_an_even_lattice():
+    # the exponents of an odd lattice leave the grid -q/2 + Z
+    for name in ("A1(1/2)", "A1(3/2)", "A2(1/2)", "U+A1(1/2)"):
+        with pytest.raises(ValueError, match="^theta series needs an even lattice$"):
+            theta_series(build_standard(name), None, 2)
