@@ -36,10 +36,8 @@ __all__ = [
 class PoincarePoly(Frozen):
     """Polynomial in t with non-negative integer coefficients, possibly truncated."""
 
-    _fields = __slots__ = (
-        "coeffs",  # coefficient of t^i at index i
-        "truncation",  # degree bound (exclusive) or None
-    )
+    # coeffs: coefficient of t^i at index i; truncation: degree bound (exclusive) or None
+    _fields = __slots__ = ("coeffs", "truncation")
 
     @staticmethod
     def make(coeffs, truncation=None) -> "PoincarePoly":

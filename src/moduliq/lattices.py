@@ -192,14 +192,8 @@ class DiscGroup(Frozen):
     the int table of its forms: exponent N, q_table[i] = N <g_i, g_i> mod 2N
     and b_table[i][j] = N <g_i, g_j> mod N for the lifts g_i."""
 
-    _fields = __slots__ = (
-        "invariant_factors",
-        "lifts",  # one rational coordinate vector per invariant factor
-        "lattice",
-        "exponent",
-        "q_table",
-        "b_table",
-    )
+    # lifts: one rational coordinate vector per invariant factor
+    _fields = __slots__ = ("invariant_factors", "lifts", "lattice", "exponent", "q_table", "b_table")
 
     def __init__(self, invariant_factors: tuple, lifts: tuple, lattice: Lattice):
         n = math.lcm(*invariant_factors)

@@ -514,9 +514,7 @@ def top_intersection_T9():
     return qq(per_component * components) / math.factorial(12)
 
 
-KEquivalenceReport = namedtuple(
-    "KEquivalenceReport", "delta9_required valuation_at_3 contradiction"
-)
+KEquivalenceReport = namedtuple("KEquivalenceReport", "delta9_required valuation_at_3 contradiction")
 
 
 def k_equiv_obstruction() -> KEquivalenceReport:

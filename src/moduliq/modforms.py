@@ -306,11 +306,9 @@ def eisenstein_level3(k: int, label, prec) -> QSeries:
 class VVForm(Frozen):
     """Tuple of q-series indexed by type classes of the discriminant group."""
 
-    _fields = __slots__ = (
-        "components",  # dict: type label -> QSeries
-        "weight",
-        "rep",  # "rho" (inputs to the product) or "rho*" (obstruction side)
-    )
+    # components: type label -> QSeries; rep: "rho" (inputs to the product)
+    # or "rho*" (obstruction side)
+    _fields = __slots__ = ("components", "weight", "rep")
 
     def __init__(self, components: dict, weight, rep: str):
         super().__init__(components, weight, rep)

@@ -57,11 +57,9 @@ def _key(term) -> int:
 
 
 class QSeries(Frozen):
-    _fields = __slots__ = (
-        "n_den",  # exponent grid q^(k / n_den)
-        "terms",  # sorted tuple of (k, CycNum), no zero coefficients
-        "trunc",  # rational; exponents >= trunc are unknown
-    )
+    # n_den: exponent grid q^(k / n_den); terms: sorted tuple of (k, CycNum),
+    # no zero coefficients; trunc: rational, exponents >= trunc are unknown
+    _fields = __slots__ = ("n_den", "terms", "trunc")
 
     def __init__(self, n_den: int, terms: tuple, trunc):
         # every kernel builds its result here: three direct slot writes

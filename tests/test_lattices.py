@@ -71,24 +71,21 @@ def test_discriminant_lifts_are_reduced_generators():
             assert orders[0] == d
 
 
-# a unimodular change of basis of E8 whose Smith transforms grow to millions
-# of bits
-SKEWED_E8 = Lattice(tuple(tuple(qq(x) for x in row) for row in (
-    (-12, 2, 1, 0, -1, 0, -21, -3),
-    (2, -16, -1, 9, 11, 7, 2, 0),
-    (1, -1, -2, 1, 1, 0, 5, 0),
-    (0, 9, 1, -6, -6, -4, -2, 0),
-    (-1, 11, 1, -6, -8, -5, 0, 0),
-    (0, 7, 0, -4, -5, -4, 2, 0),
-    (-21, 2, 5, -2, 0, 2, -50, -6),
-    (-3, 0, 0, 0, 0, 0, -6, -2),
-)))
-
-
 def test_discriminant_group_of_a_skewed_e8_basis():
-    # the group must still come out trivial, quickly, and the walk in its
-    # LLL-reduced basis must find the E8 theta series
-    lat = SKEWED_E8
+    # a unimodular change of basis of E8 whose Smith transforms grow to
+    # millions of bits; the group must still come out trivial, quickly, and
+    # the walk in its LLL-reduced basis must find the E8 theta series
+    gram = [
+        [-12, 2, 1, 0, -1, 0, -21, -3],
+        [2, -16, -1, 9, 11, 7, 2, 0],
+        [1, -1, -2, 1, 1, 0, 5, 0],
+        [0, 9, 1, -6, -6, -4, -2, 0],
+        [-1, 11, 1, -6, -8, -5, 0, 0],
+        [0, 7, 0, -4, -5, -4, 2, 0],
+        [-21, 2, 5, -2, 0, 2, -50, -6],
+        [-3, 0, 0, 0, 0, 0, -6, -2],
+    ]
+    lat = Lattice(tuple(tuple(qq(x) for x in row) for row in gram))
     assert lat.det() == 1 and lat.signature() == (0, 8)
     assert discriminant_group(lat).invariant_factors == ()
     assert str(theta_series(lat, None, 3)) == "1 + 240*q + 2160*q^2"
@@ -297,14 +294,15 @@ def test_census_limits_name_themselves():
 
 
 # every lattice named in this file with |A_M| <= ISO_LIMIT (the randomized
-# glue test draws sums of A2, A2(-1) and U(3)), the skewed E8 basis, the odd
-# lattice A1(3/2), whose q is read on the unreduced lifts, and A1+A1+A2, whose
-# invariant factors (2, 6) differ, so the exponent is not every factor
-FORM_POOL = tuple(build_standard(name) for name in (
+# glue test draws sums of A2, A2(-1) and U(3)), the odd lattice A1(3/2), whose
+# q is read on the unreduced lifts, and A1+A1+A2, whose invariant factors
+# (2, 6) differ, so the exponent is not every factor; each is also checked on
+# a skewed basis
+FORM_POOL = (
     "A1", "A1+A1", "A2", "A2(-1)", "A2+A1", "A2+A2", "A2+A2+A2", "A2+A2+A2+A2",
     "A2+A2(-1)+U(3)", "E6", "E8", "E6+A2", "U(3)", "U(3)+U", "U(3)+A2", "L_dm",
     "U+U+E8+E6+A2", "II_2_26", "A1(3/2)", "A1+A1+A2",
-)) + (SKEWED_E8,)
+)
 
 
 def check_int_forms(disc, partners):
@@ -318,17 +316,18 @@ def check_int_forms(disc, partners):
 
 
 def test_the_form_pool_is_within_iso_limit():
-    assert all(discriminant_group(lat).order <= ISO_LIMIT for lat in FORM_POOL)
+    assert all(discriminant_group(build_standard(name)).order <= ISO_LIMIT for name in FORM_POOL)
     assert not build_standard("A1(3/2)").is_even()
     assert discriminant_group(build_standard("A1+A1+A2")).invariant_factors == (2, 6)
 
 
-@pytest.mark.parametrize("lat", FORM_POOL, ids=lambda lat: lat.name or "skewed E8")
+@pytest.mark.parametrize("name", FORM_POOL)
 @settings(max_examples=3)
 @given(data=st.data())
-def test_int_forms_match_the_fraction_lifts(lat, data):
+def test_int_forms_match_the_fraction_lifts(name, data):
     # b on every pair up to order 27; against 9 drawn partners above that
     # (order 81, where all pairs take seconds)
+    lat = build_standard(name)
     for m in (lat, skew(lat, data.draw(unimodular(lat.rank)))):
         disc = discriminant_group(m)
         elements = list(disc.elements())
