@@ -101,7 +101,9 @@ class Frozen:
     _fields = ()
 
     def __init__(self, *values):
-        for field, value in zip(self._fields, values, strict=True):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values, got {len(values)}")
+        for field, value in zip(self._fields, values):
             object.__setattr__(self, field, value)
 
     def _values(self) -> tuple:
