@@ -250,7 +250,8 @@ def vvmf_dimension_report(k, rep: MatrixRep) -> DimensionReport:
 
 
 def bernoulli(k: int):
-    """Exact Bernoulli number B_k (B_1 = -1/2)."""
+    """Exact Bernoulli number B_k, with B_1 = +1/2 (the Akiyama-Tanigawa
+    convention; B_k agrees with the usual numbers for every other k)."""
     b = [qq(0)] * (k + 1)
     for m in range(k + 1):
         b[m] = qq(1, m + 1)

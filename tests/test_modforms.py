@@ -1,4 +1,6 @@
 import cmath
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -166,10 +168,23 @@ def test_alpha_invariant_refuses_matrices_outside_its_scope(rows):
         _alpha_invariant([[cyc(x) for x in row] for row in rows])
 
 
+def _bernoulli_reference(count):
+    """B_0 .. B_(count-1) from sum_(j<=m) C(m+1, j) B_j = 0, on Fractions,
+    with B_1 flipped to the +1/2 that ``bernoulli`` returns."""
+    b = [Fraction(1)]
+    for m in range(1, count):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    b[1] = -b[1]
+    return b
+
+
 def test_bernoulli_numbers():
     assert bernoulli(2) == qq(1, 6)
     assert bernoulli(6) == qq(1, 42)
     assert bernoulli(10) == qq(5, 66)
+    assert bernoulli(1) == qq(1, 2)
+    for k, expected in enumerate(_bernoulli_reference(31)):
+        assert bernoulli(k) == expected, k
 
 
 def test_eisenstein_level3_expansions():
