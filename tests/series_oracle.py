@@ -19,6 +19,18 @@ def as_dict(series):
     return {qq(k, series.n_den): ref(c) for k, c in series.terms}, series.trunc
 
 
+def well_formed(s):
+    """True when a QSeries keeps its invariants: keys strictly increase, no
+    coefficient is zero, and every key k lies below the truncation
+    (k / n_den < trunc, which is k < cutoff(trunc, n_den) for an int k)."""
+    keys = [k for k, _ in s.terms]
+    return (
+        all(a < b for a, b in zip(keys, keys[1:]))
+        and not any(c.is_zero() for _, c in s.terms)
+        and all(qq(k, s.n_den) < s.trunc for k in keys)
+    )
+
+
 def _nonzero(coeffs):
     return {e: c for e, c in coeffs.items() if not c.is_zero()}
 
@@ -98,10 +110,11 @@ def as_grid(x, n_den):
 def eisenstein_level3(k, label, prec):
     """The level-3 Eisenstein expansion by trial division:
     sum over d | n of d^(k-1) [w^(a2 d) [n/d = a1] + (-1)^k w^(-a2 d) [n/d = -a1]]
-    at q^(n/3), with the constant term -B_k (3^k - 1) / (2k) when a1 = 0."""
+    at q^(n/3), with the constant term -B_k (3^k - 1) / (2k) when a1 = 0;
+    only exponents below prec are kept."""
     a1, a2 = label[0] % 3, label[1] % 3
     out = {}
-    if a1 == 0:
+    if a1 == 0 and 0 < prec:
         out[qq(0)] = ref(-BERNOULLI[k] * (3**k - 1) / (2 * k))
     n = 1
     while qq(n, 3) < prec:

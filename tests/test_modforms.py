@@ -214,10 +214,11 @@ def test_eisenstein_level3_expansions():
 def test_eisenstein_level3_against_trial_division(k):
     labels = [(a1, a2) for a1 in range(3) for a2 in range(3) if (a1, a2) != (0, 0)]
     for label in labels:
-        for prec in (qq(1, 3), qq(7, 2), 20):
+        for prec in (-2, 0, qq(1, 6), qq(1, 3), qq(2, 3), qq(7, 2), 20):
             series = eisenstein_level3(k, label, prec)
             oracle = series_oracle.eisenstein_level3(k, label, prec)
             assert series_oracle.as_dict(series) == oracle, (k, label, prec)
+            assert series_oracle.well_formed(series), (k, label, prec)
 
 
 def _series_value(series, tau):

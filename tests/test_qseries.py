@@ -18,7 +18,7 @@ from moduliq.qseries import (
     inverse_delta,
 )
 from moduliq.scalars import OMEGA, CycNum
-from series_oracle import as_dict
+from series_oracle import as_dict, well_formed
 
 
 def conv(a, b, n):
@@ -173,11 +173,13 @@ def rational_series(draw, invertible=False):
 @given(rational_series(), rational_series())
 def test_mul_matches_the_oracle(a, b):
     assert as_dict(a * b) == series_oracle.mul(*as_dict(a), *as_dict(b))
+    assert well_formed(a * b)
 
 
 @given(rational_series(invertible=True), st.integers(-3, 4))
 def test_pow_matches_the_oracle(a, m):
     assert as_dict(a.pow(m)) == series_oracle.power(*as_dict(a), a.n_den, m)
+    assert well_formed(a.pow(m))
 
 
 # 0, +-1, w, w^2 and random elements of Q(w)
@@ -191,6 +193,7 @@ def test_scale_matches_the_oracle(a, c):
     assert as_dict(a * c) == expected
     assert as_dict(c * a) == expected
     assert a.scale(c).n_den == a.n_den
+    assert well_formed(a.scale(c))
     if not ref(c).is_zero():
         assert as_dict(a / c) == series_oracle.scale(*as_dict(a), 1 / ref(c))
 
@@ -202,6 +205,7 @@ def test_add_and_sub_match_the_oracle(a, b, c):
     assert as_dict(a + b) == series_oracle.add(*as_dict(a), *as_dict(b))
     assert as_dict(a - b) == series_oracle.add(*as_dict(a), *negated)
     assert (a + b).n_den == (a - b).n_den == n
+    assert all(map(well_formed, (a + b, a - b, a + c, c - a)))
     constant = ({qq(0): ref(c)}, a.trunc)
     assert as_dict(a + c) == series_oracle.add(*as_dict(a), *constant)
     assert as_dict(c + a) == as_dict(a + c)
