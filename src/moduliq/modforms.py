@@ -18,7 +18,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import _linalg
-from ._rational import Frozen, as_int, den, floor_q, is_integer, mod_q, qq
+from ._rational import Frozen, as_int, den, floor_q, is_integer, mod_q, num, qq
 from .lattices import WEIL_LIMIT, Lattice, discriminant_group, elements_by_type
 from .qseries import QSeries, check_terms, cutoff, eta_power
 from .scalars import CYC_ONE, CYC_ZERO, OMEGA_POWERS, CycNum, cyc, omega_pow, root_of_unity_6
@@ -252,12 +252,15 @@ def vvmf_dimension_report(k, rep: MatrixRep) -> DimensionReport:
 def bernoulli(k: int):
     """Exact Bernoulli number B_k, with B_1 = +1/2 (the Akiyama-Tanigawa
     convention; B_k agrees with the usual numbers for every other k)."""
-    b = [qq(0)] * (k + 1)
+    # Akiyama-Tanigawa on ints scaled by L = lcm(1..k+1): every entry stays
+    # in (1/L)Z, so one rational is built at the end
+    scale = math.lcm(*range(1, k + 2))
+    b = [0] * (k + 1)
     for m in range(k + 1):
-        b[m] = qq(1, m + 1)
+        b[m] = scale // (m + 1)
         for j in range(m, 0, -1):
             b[j - 1] = j * (b[j - 1] - b[j])
-    return b[0]
+    return qq(b[0], scale)
 
 
 def eisenstein_level3(k: int, label, prec) -> QSeries:
@@ -278,26 +281,33 @@ def eisenstein_level3(k: int, label, prec) -> QSeries:
     if (a1, a2) == (0, 0):
         raise ValueError("label (0,0) is not supported")
     prec = qq(prec)
-    coeffs = {}
-    if a1 == 0:
-        const = -bernoulli(k) * (3**k - 1) / (2 * k)
-        coeffs[0] = cyc(const)
-    # divisor sieve on int pairs x + y w: each d adds its two terms to the
-    # n = d * quot with quot = a1 resp. -a1 mod 3, stepping 3d through them
+    # divisor sieve on int pairs x + y w: each d adds d^(k-1) w^(a2 d) to the
+    # n = d * quot with quot = a1 mod 3 and d^(k-1) w^(-a2 d) to those with
+    # quot = -a1 mod 3, stepping 3d through them; (-1)^k = 1 for even k.  For
+    # a1 = 0 both land on n = 3d, 6d, ..., so their sum is added once.
     size = check_terms(cutoff(prec, 3))
+    pairs = [(w.x, w.y) for w in OMEGA_POWERS]  # w^0, w^1, w^2 with w.d = 1
     re, im = [0] * size, [0] * size
-    for dd in range(1, size):
-        power = dd ** (k - 1)
-        for residue, sign, exponent in ((a1, 1, a2 * dd), (-a1 % 3, (-1) ** k, -a2 * dd)):
-            w = OMEGA_POWERS[exponent % 3]  # an int pair: w.d = 1
-            x, y = sign * power * w.x, sign * power * w.y
-            for n in range(dd * (residue or 3), size, 3 * dd):
-                re[n] += x
-                im[n] += y
-    for n in range(1, size):
-        if re[n] or im[n]:
-            coeffs[n] = CycNum.of(re[n], im[n])
-    return QSeries.make(3, coeffs, prec)
+    for dd in range(1, size if a1 else -(-size // 3)):
+        power, step = dd ** (k - 1), 3 * dd
+        x, y = pairs[a2 * dd % 3]
+        u, v = pairs[-a2 * dd % 3]
+        if a1 == 0:
+            x, y = x + u, y + v
+        x, y = power * x, power * y
+        for n in range(dd * (a1 or 3), size, step):
+            re[n] += x
+            im[n] += y
+        if a1:
+            u, v = power * u, power * v
+            for n in range(dd * (3 - a1), size, step):
+                re[n] += u
+                im[n] += v
+    terms = [(n, CycNum.of(re[n], im[n])) for n in range(1, size) if re[n] or im[n]]
+    if a1 == 0 and size > 0:
+        b = bernoulli(k)
+        terms.insert(0, (0, CycNum.of(-num(b) * (3**k - 1), 0, 2 * k * den(b))))
+    return QSeries(3, tuple(terms), prec)
 
 
 # ---------------------------------------------------------------------------
