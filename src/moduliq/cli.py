@@ -121,8 +121,15 @@ def _label(text):
     return label
 
 
-def _prec(default):
-    return _arg("--prec", _rational, default=default)
+def _positive(text):
+    prec = _rational(text)
+    if prec <= 0:
+        raise ValueError(f"precision must be positive, got {text}")
+    return prec
+
+
+def _prec(default, parse=_rational):
+    return _arg("--prec", parse, default=default)
 
 
 def _standard(text):
@@ -256,7 +263,7 @@ COMMANDS = (
     ),
     Command(
         "obstruction", "weight-10 obstruction basis",
-        args=(_prec("2"),),
+        args=(_prec("2", _positive),),
         fn=lambda a: (_echo(a, "prec"), {
             name: _components(form) for name, form in zip(
                 ("eisenstein", "cusp_eta8", "cusp_eta16"),
@@ -269,7 +276,10 @@ COMMANDS = (
     ),
     Command(
         "borcherds", "lift weight/divisor and certificate",
-        args=(_arg("--input", choices=tuple(BORCHERDS_INPUTS), default="ma"), _prec("2")),
+        args=(
+            _arg("--input", choices=tuple(BORCHERDS_INPUTS), default="ma"),
+            _prec("2", _positive),
+        ),
         fn=lambda a: (_echo(a, "input", "prec"), {
             "components": _components(form := BORCHERDS_INPUTS[a.input](a.prec)),
             "weight": fmt_q((lift := borcherds.lift_weight_divisor(form))[0]),

@@ -191,6 +191,18 @@ def test_prec_below_the_series_start(capsys):
         _usage_error(capsys, argv)
 
 
+def test_obstruction_and_borcherds_prec_must_be_positive(capsys):
+    # a non-positive --prec used to end in 'coefficient at q^0 is beyond the
+    # truncation 0', read from the series built at that precision
+    inputs = ("ma", "delta", "e4delta")
+    for argv in (["obstruction"], *(["borcherds", "--input", x] for x in inputs)):
+        for prec in ("0", "-5", "-0.5"):
+            line = _usage_error(capsys, [*argv, "--prec", prec])
+            assert line == f"error: argument --prec: precision must be positive, got {prec}"
+    # the input tuple alone is printed at precision 0
+    assert _capture(capsys, ["ma-input", "--prec", "0"])[1] == 0
+
+
 def test_theta_prec_must_be_positive(capsys):
     for prec in ("0", "-1"):
         assert "precision" in _usage_error(capsys, ["theta", "--lattice", "E6", "--prec", prec])
