@@ -4,7 +4,9 @@ import pytest
 
 from moduliq import qq
 from moduliq.ledger import (
+    UNKNOWN,
     DivisorExpr,
+    InconsistentError,
     Relation,
     RelationSet,
     UnderdeterminedError,
@@ -50,6 +52,46 @@ def test_solver_error_modes():
     d2 = DivisorExpr.of("D2")
     with pytest.raises(UnderdeterminedError):
         solve_unknown(RelationSet.make([Relation("t", d2, d2)], independent=("D2",)))
+    # a leftover constant: D2 = 2 D2 with D2 independent
+    with pytest.raises(InconsistentError, match="inconsistent$"):
+        solve_unknown(RelationSet.make([Relation("t", d2, d2.scale(2))], independent=("D2",)))
+    # two different values of x: x h1 = h1 and x h2 = 2 h2
+    two_values = [
+        Relation("h1", DivisorExpr.of("h1", UNKNOWN), DivisorExpr.of("h1")),
+        Relation("h2", DivisorExpr.of("h2", UNKNOWN), DivisorExpr.of("h2", 2)),
+    ]
+    with pytest.raises(InconsistentError, match="in the unknown"):
+        solve_unknown(RelationSet.make(two_values, independent=("h1", "h2")))
+    assert issubclass(InconsistentError, ValueError)
+    assert issubclass(UnderdeterminedError, ValueError)
+
+
+def test_products_of_the_unknown_are_refused():
+    carries_x = DivisorExpr.of("A", UNKNOWN)
+    with pytest.raises(ValueError, match="two unknown-carrying coefficients"):
+        carries_x.substitute({"A": DivisorExpr.of("B", UNKNOWN)})
+    # eliminating K from x K = D through the pivot K = x D needs x^2 D
+    quadratic = [
+        Relation("pivot", DivisorExpr.of("K"), DivisorExpr.of("D", UNKNOWN)),
+        Relation("carrier", DivisorExpr.of("K", UNKNOWN), DivisorExpr.of("D")),
+    ]
+    with pytest.raises(ValueError) as excinfo:
+        solve_unknown(RelationSet.make(quadratic, independent=("D",)))
+    assert excinfo.type is ValueError
+
+
+@pytest.mark.parametrize("factor", [qq(-3, 7), qq(5), qq(1, 12)])
+def test_solver_is_scale_invariant(factor):
+    def scaled(rels):
+        rows = [Relation(r.name, r.lhs.scale(factor), r.rhs.scale(factor)) for r in rels.relations]
+        return RelationSet.make(rows, rels.independent)
+
+    for slot, value in (("exceptional", 4), ("discriminant", qq(-2, 11)), ("pullback", 15)):
+        assert solve_unknown(scaled(hassett_keel_relations(slot))) == value
+    report = consistency_report(scaled(section4_relations()))
+    assert report.conflicts == ("K_tor = pi*K_BB + 16T (as printed)",)
+    # the repair replaces the whole scaled coefficient 16 * factor
+    assert [value for *_, value in report.repairs] == [-16 * factor]
 
 
 def test_discrepancy_two_thirds():
@@ -82,8 +124,6 @@ def test_section4_entails_minus_16():
     # replace the printed relation by one with an unknown boundary coefficient
     rels = section4_relations()
     kept = [r for r in rels.relations if "as printed" not in r.name]
-    from moduliq.ledger import UNKNOWN
-
     candidate = Relation(
         "K_tor = pi*K_BB + xT",
         DivisorExpr.of("Ktor"),
