@@ -8,6 +8,13 @@ Gaussian elimination of the dependent symbols leaves a nonzero combination
 of independent classes.  Affine constants are modeled through the reserved
 independent class "1".
 
+A coefficient is a ``Lin``, whose constructor is the one place a number
+becomes a backend rational, and ``Lin.scale`` is the one product: by a
+rational, or by a ``Lin`` when at most one factor carries x.  One
+elimination, ``_leftover``, reduces a relation set; ``solve_unknown`` reads
+the unknown off its rows, and ``consistency_report`` reads conflicts and
+repairs off it with one relation left out at a time.
+
 The module ships the canonical-bundle bookkeeping for twelve points: the
 Hassett-Keel formulas for the ordered spaces, the ball-quotient relations
 on the unordered side (including the one printed relation whose boundary
@@ -19,7 +26,7 @@ K-equivalence of the two resolutions.
 import math
 from collections import namedtuple
 
-from ._rational import Frozen, fmt_q, qq
+from ._rational import ZERO, Frozen, fmt_q, qq
 from .scalars import padic_valuation
 
 __all__ = [
@@ -49,52 +56,62 @@ __all__ = [
 
 
 class Lin(Frozen):
-    """Affine expression a + b*x in the shared unknown."""
+    """Affine expression a + b*x in the shared unknown.  The constructor is
+    the one coercion: a and b are held as backend rationals, b = 0 by default."""
 
     _fields = __slots__ = ("a", "b")
 
-    def __init__(self, a, b=0):
-        super().__init__(a, b)
+    def __init__(self, a, b=ZERO):
+        init = object.__setattr__
+        init(self, "a", qq(a))
+        init(self, "b", qq(b))
 
     @staticmethod
     def of(v) -> "Lin":
-        if isinstance(v, Lin):
-            return v
-        return Lin(qq(v), qq(0))
+        return v if isinstance(v, Lin) else Lin(v)
 
     def __add__(self, other):
         other = Lin.of(other)
-        return Lin(qq(self.a) + qq(other.a), qq(self.b) + qq(other.b))
+        return Lin(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other):
         other = Lin.of(other)
-        return Lin(qq(self.a) - qq(other.a), qq(self.b) - qq(other.b))
+        return Lin(self.a - other.a, self.b - other.b)
 
     def __neg__(self):
-        return Lin(-qq(self.a), -qq(self.b))
+        return Lin(-self.a, -self.b)
 
     def scale(self, c):
-        c = qq(c)
-        return Lin(qq(self.a) * c, qq(self.b) * c)
+        """self * c for a rational c, or for a Lin c as long as the product
+        stays affine (ValueError when both factors carry x)."""
+        if isinstance(c, Lin):
+            if c.b:
+                if self.b:
+                    raise ValueError("product of two unknown-carrying coefficients")
+                return Lin(self.a * c.a, self.a * c.b)
+            c = c.a
+        else:
+            c = qq(c)
+        return Lin(self.a * c, self.b * c)
 
     def is_zero(self):
-        return qq(self.a) == 0 and qq(self.b) == 0
+        return not (self.a or self.b)
 
     def __str__(self):
-        if qq(self.b) == 0:
-            return fmt_q(qq(self.a))
-        if qq(self.a) == 0:
-            return f"{fmt_q(qq(self.b))}*x"
-        return f"{fmt_q(qq(self.a))} + {fmt_q(qq(self.b))}*x"
+        if not self.b:
+            return fmt_q(self.a)
+        if not self.a:
+            return f"{fmt_q(self.b)}*x"
+        return f"{fmt_q(self.a)} + {fmt_q(self.b)}*x"
 
 
-UNKNOWN = Lin(qq(0), qq(1))
+UNKNOWN = Lin(0, 1)
 
 
 class DivisorExpr(Frozen):
     """Formal linear combination of named classes, coefficients affine in x."""
 
-    _fields = __slots__ = ("coeffs",)  # sorted tuple of (name, Lin)
+    _fields = __slots__ = ("coeffs",)  # sorted tuple of (name, nonzero Lin)
 
     @staticmethod
     def make(mapping: dict) -> "DivisorExpr":
@@ -108,49 +125,30 @@ class DivisorExpr(Frozen):
 
     @staticmethod
     def of(name: str, coeff=1) -> "DivisorExpr":
-        return DivisorExpr.make({name: Lin.of(coeff)})
+        return DivisorExpr.make({name: coeff})
 
     def as_dict(self) -> dict:
         return dict(self.coeffs)
 
-    def coeff(self, name: str) -> Lin:
-        for n, c in self.coeffs:
-            if n == name:
-                return c
-        return Lin(qq(0), qq(0))
-
     def __add__(self, other: "DivisorExpr") -> "DivisorExpr":
         out = self.as_dict()
         for name, c in other.coeffs:
-            out[name] = out.get(name, Lin(qq(0))) + c
+            out[name] = out[name] + c if name in out else c
         return DivisorExpr.make(out)
 
     def __sub__(self, other: "DivisorExpr") -> "DivisorExpr":
-        out = self.as_dict()
-        for name, c in other.coeffs:
-            out[name] = out.get(name, Lin(qq(0))) - c
-        return DivisorExpr.make(out)
+        return self + other.scale(-1)
 
     def scale(self, c) -> "DivisorExpr":
+        """Every coefficient times c, a rational or a Lin (see Lin.scale)."""
         return DivisorExpr.make({n: v.scale(c) for n, v in self.coeffs})
 
     def substitute(self, pullback: dict) -> "DivisorExpr":
         """Replace each class by its image expression where the map defines one."""
         out = DivisorExpr.make({})
         for name, c in self.coeffs:
-            image = pullback.get(name, DivisorExpr.of(name))
-            out = out + image.scale_lin(c)
+            out = out + pullback.get(name, DivisorExpr.of(name)).scale(c)
         return out
-
-    def scale_lin(self, c: Lin) -> "DivisorExpr":
-        if qq(c.b) != 0:
-            out = {}
-            for name, v in self.coeffs:
-                if qq(v.b) != 0:
-                    raise ValueError("product of two unknown-carrying coefficients")
-                out[name] = Lin(qq(v.a) * qq(c.a), qq(v.a) * qq(c.b))
-            return DivisorExpr.make(out)
-        return self.scale(qq(c.a))
 
     def __str__(self):
         if not self.coeffs:
@@ -176,68 +174,9 @@ class RelationSet(Frozen):
     def make(relations, independent=()) -> "RelationSet":
         return RelationSet(tuple(relations), tuple(independent))
 
-    def class_names(self):
-        names = set()
-        for rel in self.relations:
-            for expr in (rel.lhs, rel.rhs):
-                names.update(n for n, _ in expr.coeffs)
-        return sorted(names)
-
 
 # ---------------------------------------------------------------------------
 # solving
-
-
-def _lin_rows(rels: RelationSet, skip=None):
-    rows = []
-    for rel in rels.relations:
-        if skip is not None and rel.name == skip:
-            continue
-        rows.append({name: c for name, c in rel.residual().coeffs})
-    return rows
-
-
-def _reduce_rows(rows, dependent_order):
-    """Eliminate dependent symbols using unknown-free pivots.
-
-    rows: list of dicts name -> Lin.  Returns the leftover reduced rows
-    (each a dict with only nonzero entries).  Raises if elimination would
-    need the product of two unknown-carrying coefficients.
-    """
-    rows = [dict(r) for r in rows]
-    for pivot_name in dependent_order:
-        pivot_row = None
-        for r in rows:
-            c = r.get(pivot_name)
-            if c is not None and not c.is_zero() and qq(c.b) == 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            # tolerate a symbol that only appears with unknown coefficients
-            continue
-        pv = qq(pivot_row[pivot_name].a)
-        for r in rows:
-            if r is pivot_row:
-                continue
-            c = r.get(pivot_name)
-            if c is None or c.is_zero():
-                continue
-            f_a = qq(c.a) / pv
-            f_b = qq(c.b) / pv
-            for name, v in pivot_row.items():
-                if f_b != 0 and qq(v.b) != 0:
-                    raise ValueError("elimination produced a quadratic term")
-                prev = r.get(name, Lin(qq(0)))
-                r[name] = Lin(
-                    qq(prev.a) - f_a * qq(v.a),
-                    qq(prev.b) - f_a * qq(v.b) - f_b * qq(v.a),
-                )
-        rows.remove(pivot_row)
-    return [
-        {n: v for n, v in r.items() if not v.is_zero()}
-        for r in rows
-        if any(not v.is_zero() for v in r.values())
-    ]
 
 
 class UnderdeterminedError(ValueError):
@@ -248,47 +187,63 @@ class InconsistentError(ValueError):
     pass
 
 
-def _scan_solution(leftover):
-    """Unique unknown value from reduced rows, or the failure mode."""
-    solution = None
-    for r in leftover:
-        for _name, c in r.items():
-            a, b = qq(c.a), qq(c.b)
-            if b == 0:
-                if a != 0:
-                    raise InconsistentError("system is inconsistent")
+def _leftover(rels: RelationSet, skip=None) -> list:
+    """The rows lhs - rhs of the relations (but the one named skip) after
+    eliminating every dependent class, as dicts class -> nonzero Lin; rows
+    that vanish are dropped.
+
+    Dependent classes are pivoted out in name order, each through the first
+    row whose coefficient on it is free of x; a class that only appears with
+    x-carrying coefficients stays.  ValueError if a step multiplies x by x.
+    """
+    rows = [rel.residual().as_dict() for rel in rels.relations if rel.name != skip]
+    dependent = sorted({name for row in rows for name in row} - set(rels.independent))
+    for name in dependent:
+        pivot = next((row for row in rows if name in row and not row[name].b), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        inv = 1 / pivot[name].a
+        pivot = [(n, v.scale(inv)) for n, v in pivot.items()]
+        for row in rows:
+            c = row.get(name)
+            if c is None:
                 continue
-            val = -a / b
-            if solution is None:
-                solution = val
-            elif solution != val:
-                raise InconsistentError("system is inconsistent in the unknown")
-    if solution is None:
-        raise UnderdeterminedError("system does not determine the unknown")
-    return solution
+            for n, v in pivot:
+                new = row[n] - v.scale(c) if n in row else -v.scale(c)
+                if new.is_zero():
+                    del row[n]
+                else:
+                    row[n] = new
+    return [row for row in rows if row]
 
 
-def solve_unknown(rels: RelationSet, unknown: str = "x"):
+def solve_unknown(rels: RelationSet):
     """The unique rational value of the shared unknown coefficient.
 
     Dependent class symbols are eliminated first; the leftover equations on
     the independent classes must pin the unknown uniquely.  The result does
     not depend on the order of the relations.
     """
-    dependent = [n for n in rels.class_names() if n not in rels.independent]
-    leftover = _reduce_rows(_lin_rows(rels), dependent)
-    return _scan_solution(leftover)
+    solution = None
+    for row in _leftover(rels):
+        for c in row.values():
+            if not c.b:
+                raise InconsistentError("system is inconsistent")
+            value = -c.a / c.b
+            if solution is None:
+                solution = value
+            elif solution != value:
+                raise InconsistentError("system is inconsistent in the unknown")
+    if solution is None:
+        raise UnderdeterminedError("system does not determine the unknown")
+    return solution
 
 
 # conflicts: names of relations whose removal restores consistency; residuals:
 # leftover combinations of independent classes; repairs: (relation, class,
 # side, repaired coefficient)
 ConsistencyReport = namedtuple("ConsistencyReport", "consistent conflicts residuals repairs")
-
-
-def _leftover_numeric(rels: RelationSet, skip=None):
-    dependent = [n for n in rels.class_names() if n not in rels.independent]
-    return _reduce_rows(_lin_rows(rels, skip=skip), dependent)
 
 
 def consistency_report(rels: RelationSet) -> ConsistencyReport:
@@ -300,39 +255,28 @@ def consistency_report(rels: RelationSet) -> ConsistencyReport:
     carrier of a repaired coefficient; repairs that make the full system
     consistent are reported with their unique value.
     """
-    bad = _leftover_numeric(rels)
+    bad = _leftover(rels)
     if not bad:
         return ConsistencyReport(True, (), (), ())
     conflicts = []
     repairs = []
     for rel in rels.relations:
-        if _leftover_numeric(rels, skip=rel.name):
+        if _leftover(rels, skip=rel.name):
             continue
         conflicts.append(rel.name)
+        others = [r for r in rels.relations if r.name != rel.name]
         for name, _c in rel.residual().coeffs:
-            mended_lhs = rel.lhs.as_dict()
-            mended_rhs = rel.rhs.as_dict()
-            if name in mended_lhs:
-                mended_lhs[name] = UNKNOWN
-                side = "lhs"
-            else:
-                mended_rhs[name] = UNKNOWN
-                side = "rhs"
-            candidate = Relation(
-                rel.name, DivisorExpr.make(mended_lhs), DivisorExpr.make(mended_rhs)
-            )
-            others = [r for r in rels.relations if r.name != rel.name]
+            sides = {"lhs": rel.lhs.as_dict(), "rhs": rel.rhs.as_dict()}
+            side = "lhs" if name in sides["lhs"] else "rhs"
+            sides[side][name] = UNKNOWN
+            candidate = Relation(rel.name, DivisorExpr.make(sides["lhs"]), DivisorExpr.make(sides["rhs"]))
             try:
-                value = solve_unknown(
-                    RelationSet.make(others + [candidate], rels.independent)
-                )
-            except (InconsistentError, UnderdeterminedError, ValueError):
+                value = solve_unknown(RelationSet.make(others + [candidate], rels.independent))
+            except ValueError:  # InconsistentError, UnderdeterminedError or x*x
                 continue
             repairs.append((rel.name, name, side, value))
-    frozen = tuple(
-        tuple(sorted((n, str(v)) for n, v in r.items())) for r in bad
-    )
-    return ConsistencyReport(False, tuple(conflicts), frozen, tuple(repairs))
+    residuals = tuple(tuple(sorted((n, str(v)) for n, v in row.items())) for row in bad)
+    return ConsistencyReport(False, tuple(conflicts), residuals, tuple(repairs))
 
 
 # ---------------------------------------------------------------------------
@@ -359,32 +303,27 @@ def hassett_keel_relations(unknown_slot: str = None) -> RelationSet:
     printed coefficient to re-derive: 'exceptional' (the 4), 'discriminant'
     (the -2/11), or 'pullback' (the 15).
     """
-    c2 = vital_coefficient(12, 2)   # -2/11
-    c6 = vital_coefficient(12, 6)   # 14/11
-    mult = discriminant_pullback_multiplicity(12)  # 15
-    exc = qq(4)
-    lin_c2 = Lin.of(c2)
-    lin_mult = Lin.of(mult)
-    lin_exc = Lin.of(exc)
-    if unknown_slot == "exceptional":
-        lin_exc = UNKNOWN
-    elif unknown_slot == "discriminant":
-        lin_c2 = UNKNOWN
-    elif unknown_slot == "pullback":
-        lin_mult = UNKNOWN
-    elif unknown_slot is not None:
-        raise ValueError(f"unknown slot {unknown_slot!r}")
+    # the printed coefficients -2/11, 15 and 4; one of them may become x
+    printed = {
+        "discriminant": vital_coefficient(12, 2),
+        "pullback": discriminant_pullback_multiplicity(12),
+        "exceptional": 4,
+    }
+    if unknown_slot is not None:
+        if unknown_slot not in printed:
+            raise ValueError(f"unknown slot {unknown_slot!r}")
+        printed[unknown_slot] = UNKNOWN
+    c2, mult, exc = (Lin.of(printed[slot]) for slot in ("discriminant", "pullback", "exceptional"))
     # K = c2 D2 + c6 D6  and  K = c2 (D2 + mult D6) + exc D6
     r1 = Relation(
         "K on the blow-up (vital coefficients)",
         DivisorExpr.of("K"),
-        DivisorExpr.make({"D2": lin_c2, "D6": c6}),
+        DivisorExpr.make({"D2": c2, "D6": vital_coefficient(12, 6)}),
     )
-    pullback_expr = DivisorExpr.make({"D2": Lin.of(1), "D6": lin_mult})
     r2 = Relation(
         "K via the pullback of the discriminant",
         DivisorExpr.of("K"),
-        pullback_expr.scale_lin(lin_c2) + DivisorExpr.make({"D6": lin_exc}),
+        DivisorExpr.make({"D2": 1, "D6": mult}).scale(c2) + DivisorExpr.of("D6", exc),
     )
     return RelationSet.make([r1, r2], independent=("D2", "D6"))
 
@@ -406,31 +345,20 @@ def kirwan_discrepancy():
     From K_blowup = f*K + 9 E and f*(discriminant) = strict + 10 E:
     solve K_blowup + (5/6) strict = f*(K + (5/6) disc) + x E.
     """
-    r1 = Relation(
-        "canonical bundle of the blow-up",
-        DivisorExpr.of("K_blowup"),
-        DivisorExpr.of("fK") + DivisorExpr.of("E", 9),
-    )
-    r2 = Relation(
-        "pullback of the discriminant",
-        DivisorExpr.of("f_disc"),
-        DivisorExpr.of("strict") + DivisorExpr.of("E", 10),
-    )
-    r3 = Relation(
-        "log discrepancy",
-        DivisorExpr.of("K_blowup") + DivisorExpr.of("strict", qq(5, 6)),
-        DivisorExpr.of("fK")
-        + DivisorExpr.of("f_disc", qq(5, 6))
-        + DivisorExpr.make({"E": UNKNOWN}),
-    )
-    # substitute r1, r2 into r3 and solve for x on the class E
-    resid = r3.lhs - r3.rhs
-    sub = {
-        "K_blowup": r1.rhs,
-        "f_disc": r2.rhs,
+    L = DivisorExpr.of
+    pullback = {
+        "K_blowup": L("fK") + L("E", 9),  # canonical bundle of the blow-up
+        "f_disc": L("strict") + L("E", 10),  # pullback of the discriminant
     }
+    log_discrepancy = Relation(
+        "log discrepancy",
+        L("K_blowup") + L("strict", qq(5, 6)),
+        L("fK") + L("f_disc", qq(5, 6)) + L("E", UNKNOWN),
+    )
+    # substitute the two pullbacks and solve for x on the class E
+    combined = log_discrepancy.residual().substitute(pullback)
     system = RelationSet.make(
-        [Relation("combined", resid.substitute(sub), DivisorExpr.make({}))],
+        [Relation("combined", combined, DivisorExpr.make({}))],
         independent=("E", "fK", "strict"),
     )
     return solve_unknown(system)
@@ -444,8 +372,8 @@ def normal_bundle_bidegree():
     """
     rel = Relation(
         "adjunction on the boundary",
-        DivisorExpr.make({"h1": Lin(qq(0), qq(5)), "h2": Lin(qq(0), qq(5))}),
-        DivisorExpr.make({"h1": qq(-5), "h2": qq(-5)}),
+        DivisorExpr.make({"h1": Lin(0, 5), "h2": Lin(0, 5)}),
+        DivisorExpr.make({"h1": -5, "h2": -5}),
     )
     x = solve_unknown(RelationSet.make([rel], independent=("h1", "h2")))
     return (x, x)
@@ -462,41 +390,13 @@ def section4_relations() -> RelationSet:
     """
     L = DivisorExpr.of
     rels = [
-        Relation(
-            "K_tor = pi*K_BB + 16T (as printed)",
-            L("Ktor"),
-            L("KBB") + L("T", 16),
-        ),
-        Relation(
-            "K_BB = 10L - (5/6)HBB",
-            L("KBB"),
-            L("L", 10) - L("HBB", qq(5, 6)),
-        ),
-        Relation(
-            "K_tor = 10L - (5/6)Htor - T",
-            L("Ktor"),
-            L("L", 10) - L("Htor", qq(5, 6)) - L("T"),
-        ),
-        Relation(
-            "pi*HBB = Htor - 18T",
-            L("HBB"),
-            L("Htor") - L("T", 18),
-        ),
-        Relation(
-            "44L = (1/6)HBB",
-            L("L", 44),
-            L("HBB", qq(1, 6)),
-        ),
-        Relation(
-            "K_BB = -210L",
-            L("KBB"),
-            L("L", -210),
-        ),
-        Relation(
-            "K_tor = -210L - 16T",
-            L("Ktor"),
-            L("L", -210) - L("T", 16),
-        ),
+        Relation("K_tor = pi*K_BB + 16T (as printed)", L("Ktor"), L("KBB") + L("T", 16)),
+        Relation("K_BB = 10L - (5/6)HBB", L("KBB"), L("L", 10) - L("HBB", qq(5, 6))),
+        Relation("K_tor = 10L - (5/6)Htor - T", L("Ktor"), L("L", 10) - L("Htor", qq(5, 6)) - L("T")),
+        Relation("pi*HBB = Htor - 18T", L("HBB"), L("Htor") - L("T", 18)),
+        Relation("44L = (1/6)HBB", L("L", 44), L("HBB", qq(1, 6))),
+        Relation("K_BB = -210L", L("KBB"), L("L", -210)),
+        Relation("K_tor = -210L - 16T", L("Ktor"), L("L", -210) - L("T", 16)),
     ]
     return RelationSet.make(rels, independent=("L", "T"))
 
