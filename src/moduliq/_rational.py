@@ -10,10 +10,14 @@ the code relies on.
 Set ``MODULIQ_BACKEND=fractions`` to force the pure-Python implementation
 (``python3 perfbench/backends.py`` runs the benchmark once per backend).
 
-``Frozen`` is the base of the package's immutable value records; it lives
-here because every layer already imports this module.
+``padic_valuation`` (with ``is_prime``) is the one number-theoretic helper
+of the ledger, so ``moduliq t9``, ``kequiv`` and ``ledger`` load the ledger
+and this module only, without the Q(w) scalars.  ``Frozen`` is the base of
+the package's immutable value records; it lives here because every layer
+already imports this module.
 """
 
+import math
 import os
 from fractions import Fraction
 
@@ -88,6 +92,43 @@ def fmt_q(x) -> str:
     if den(x) == 1:
         return str(num(x))
     return f"{num(x)}/{den(x)}"
+
+
+def is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    if p < 4:
+        return True
+    if p % 2 == 0:
+        return False
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def padic_valuation(x, p: int):
+    """v with x = p^v * (unit at p); math.inf for x = 0.
+
+    Rejects non-prime p.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    x = qq(x)
+    if x == 0:
+        return math.inf
+    v = 0
+    n = abs(num(x))
+    while n % p == 0:
+        n //= p
+        v += 1
+    d = den(x)
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
 
 
 class Frozen:

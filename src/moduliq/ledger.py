@@ -26,8 +26,7 @@ K-equivalence of the two resolutions.
 import math
 from collections import namedtuple
 
-from ._rational import ZERO, Frozen, fmt_q, qq
-from .scalars import padic_valuation
+from ._rational import ZERO, Frozen, fmt_q, padic_valuation, qq
 
 __all__ = [
     "ConsistencyReport",

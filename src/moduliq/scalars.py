@@ -1,4 +1,4 @@
-"""Arithmetic foundations: rationals, the field Q(w) with w^2+w+1=0, p-adic valuations.
+"""The field Q(w) with w^2+w+1=0 over the rationals of ``_rational``.
 
 An element of Q(w) is held as ints (x, y, d) meaning (x + y w) / d on the
 basis (1, w), in lowest terms with d > 0: integer coordinates over one
@@ -19,9 +19,7 @@ __all__ = [
     "SQRT_M3",
     "cyc",
     "int_pairs",
-    "is_prime",
     "omega_pow",
-    "padic_valuation",
     "root_of_unity_6",
     "QQ",
     "qq",
@@ -189,40 +187,3 @@ def root_of_unity_6(j: int) -> CycNum:
     # exp(pi i j / 3) = (-w^2)^j; (-w^2) is the primitive sixth root.
     w2j = OMEGA_POWERS[2 * j % 3]
     return w2j if j % 2 == 0 else -w2j
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def padic_valuation(x, p: int):
-    """v with x = p^v * (unit at p); math.inf for x = 0.
-
-    Rejects non-prime p.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    x = qq(x)
-    if x == 0:
-        return math.inf
-    v = 0
-    n = abs(num(x))
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = den(x)
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from cyc_oracle import ref
 from moduliq import qq
-from moduliq._rational import QQ, den, num
+from moduliq._rational import QQ, den, num, padic_valuation
 from moduliq.scalars import (
     CYC_ONE,
     OMEGA,
     SQRT_M3,
     CycNum,
     cyc,
-    padic_valuation,
 )
 
 
