@@ -25,7 +25,7 @@ that would take hours is refused at once.
 import bisect
 import math
 
-from ._rational import Frozen, as_int, den, floor_q, fmt_q, num, qq
+from ._rational import Frozen, as_int, den, fmt_q, num, qq
 from .scalars import CYC_ONE, CYC_ZERO, CycNum, cyc, int_pairs
 
 __all__ = [
@@ -42,7 +42,7 @@ class PrecisionError(ValueError):
 
 def cutoff(trunc, n_den: int) -> int:
     """The least key k with k/n_den >= trunc: the keys below it are known."""
-    return -floor_q(-trunc * n_den)
+    return -(-num(trunc) * n_den // den(trunc))
 
 
 def check_terms(count: int) -> int:
