@@ -18,7 +18,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import _linalg
-from ._rational import Frozen, as_int, den, floor_q, is_integer, mod_q, num, qq
+from ._rational import Frozen, as_int, den, floor_q, fmt_q, is_integer, mod_q, num, qq
 from .lattices import WEIL_LIMIT, Lattice, discriminant_group, elements_by_type
 from .qseries import QSeries, check_terms, cutoff, eta_power
 from .scalars import CYC_ONE, CYC_ZERO, OMEGA_POWERS, CycNum, cyc, omega_pow, root_of_unity_6
@@ -343,6 +343,15 @@ class VVForm(Frozen):
         return True
 
 
+def _obstruction_prec(prec):
+    """prec as a rational; ValueError naming it, before any coefficient read,
+    when it is not positive."""
+    prec = qq(prec)
+    if prec <= 0:
+        raise ValueError(f"obstruction precision must be positive, got {fmt_q(prec)}")
+    return prec
+
+
 def obstruction_eisenstein(prec) -> VVForm:
     """The weight-10 dual-type Eisenstein tuple with constant terms (-1/2, 0, 0, 0).
 
@@ -354,7 +363,7 @@ def obstruction_eisenstein(prec) -> VVForm:
     with Ei~ the normalized weight-10 level-3 series and s = 3/(2 * 11 * 61 * ...)
     fixed by h_00(infinity) = -1/2.
     """
-    prec = qq(prec)
+    prec = _obstruction_prec(prec)
     e1 = eisenstein_level3(10, (0, 1), prec)
     e2 = eisenstein_level3(10, (1, 0), prec)
     e3 = eisenstein_level3(10, (1, 1), prec)
@@ -379,7 +388,7 @@ def obstruction_cusp_basis(prec):
     patterns (1, w^k, w^-k) and (3, -1, -1, -1) are exactly the combinations
     that cancel the shared non-analytic part.
     """
-    prec = qq(prec)
+    prec = _obstruction_prec(prec)
     _, w, w2 = OMEGA_POWERS
 
     eta8 = eta_power(8, prec + qq(2, 3))

@@ -280,6 +280,15 @@ def test_obstruction_cusp_leading_data():
     assert case_b.check_translation_law(build_standard("L_dm"))
 
 
+@pytest.mark.parametrize("prec", [0, -1])
+def test_obstruction_refuses_a_non_positive_precision(prec):
+    # by name, before a coeff(0) read could raise PrecisionError
+    for build in (obstruction_eisenstein, obstruction_cusp_basis):
+        with pytest.raises(ValueError, match=f"^obstruction precision must be positive, got {prec}$") as excinfo:
+            build(prec)
+        assert excinfo.type is ValueError
+
+
 def test_obstruction_tuples_satisfy_s_law_numerically():
     """Functional equation at the fixed point tau = i of the inversion.
 
