@@ -70,11 +70,9 @@ class Lin(Frozen):
         return v if isinstance(v, Lin) else Lin(v)
 
     def __add__(self, other):
-        other = Lin.of(other)
         return Lin(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other):
-        other = Lin.of(other)
         return Lin(self.a - other.a, self.b - other.b)
 
     def __neg__(self):
@@ -89,8 +87,6 @@ class Lin(Frozen):
                     raise ValueError("product of two unknown-carrying coefficients")
                 return Lin(self.a * c.a, self.a * c.b)
             c = c.a
-        else:
-            c = qq(c)
         return Lin(self.a * c, self.b * c)
 
     def is_zero(self):
