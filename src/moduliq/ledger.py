@@ -308,7 +308,7 @@ def hassett_keel_relations(unknown_slot: str = None) -> RelationSet:
         if unknown_slot not in printed:
             raise ValueError(f"unknown slot {unknown_slot!r}")
         printed[unknown_slot] = UNKNOWN
-    c2, mult, exc = (Lin.of(printed[slot]) for slot in ("discriminant", "pullback", "exceptional"))
+    c2, mult, exc = printed["discriminant"], printed["pullback"], printed["exceptional"]
     # K = c2 D2 + c6 D6  and  K = c2 (D2 + mult D6) + exc D6
     r1 = Relation(
         "K on the blow-up (vital coefficients)",
