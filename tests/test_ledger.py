@@ -7,6 +7,7 @@ from moduliq.ledger import (
     UNKNOWN,
     DivisorExpr,
     InconsistentError,
+    Lin,
     Relation,
     RelationSet,
     UnderdeterminedError,
@@ -79,6 +80,16 @@ def test_products_of_the_unknown_are_refused():
     with pytest.raises(ValueError) as excinfo:
         solve_unknown(RelationSet.make(quadratic, independent=("D",)))
     assert excinfo.type is ValueError
+
+
+def test_solver_pivots_on_x_free_coefficients():
+    # K carries 1 + x in the first row, so K = 2 D must be the pivot:
+    # (1 + x) 2 D = D gives x = -1/2
+    rels = [
+        Relation("mixed", DivisorExpr.of("K", Lin(1, 1)), DivisorExpr.of("D")),
+        Relation("plain", DivisorExpr.of("K"), DivisorExpr.of("D", 2)),
+    ]
+    assert solve_unknown(RelationSet.make(rels, independent=("D",))) == qq(-1, 2)
 
 
 @pytest.mark.parametrize("factor", [qq(-3, 7), qq(5), qq(1, 12)])
