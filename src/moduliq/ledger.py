@@ -264,7 +264,9 @@ def consistency_report(rels: RelationSet) -> ConsistencyReport:
             sides = {"lhs": rel.lhs.as_dict(), "rhs": rel.rhs.as_dict()}
             side = "lhs" if name in sides["lhs"] else "rhs"
             sides[side][name] = UNKNOWN
-            candidate = Relation(rel.name, DivisorExpr.make(sides["lhs"]), DivisorExpr.make(sides["rhs"]))
+            candidate = Relation(
+                rel.name, DivisorExpr.make(sides["lhs"]), DivisorExpr.make(sides["rhs"])
+            )
             try:
                 value = solve_unknown(RelationSet.make(others + [candidate], rels.independent))
             except ValueError:  # InconsistentError, UnderdeterminedError or x*x

@@ -284,7 +284,8 @@ def test_obstruction_cusp_leading_data():
 def test_obstruction_refuses_a_non_positive_precision(prec):
     # by name, before a coeff(0) read could raise PrecisionError
     for build in (obstruction_eisenstein, obstruction_cusp_basis):
-        with pytest.raises(ValueError, match=f"^obstruction precision must be positive, got {prec}$") as excinfo:
+        message = f"^obstruction precision must be positive, got {prec}$"
+        with pytest.raises(ValueError, match=message) as excinfo:
             build(prec)
         assert excinfo.type is ValueError
 
