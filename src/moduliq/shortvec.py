@@ -1,26 +1,19 @@
 """Exact enumeration of dual-coset vectors in definite lattices (Fincke-Pohst).
 
-Every entry point walks the coset once.  The negated Gram, scaled to ints,
-is LLL-reduced by ``_linalg.lll``; the coset lift moves into the reduced
-basis with the exact inverse transform, and the walk reads its pivots
-d[i+1] / d[i] and coefficients lam[j][i] / d[i+1] from the LLL's own
-integral Gram-Schmidt data, so no rational elimination runs per walk.  One
-walk visits each coset vector x with bound <= <x, x>: single-norm counts
-and sorted vector lists keep one shell of that ball, ``coset_norm_counts``
-keeps the whole {norm: count} histogram, so a theta series to any precision
-costs one enumeration.  When the coset is its own negative (2c in M, the
-zero coset among them) the walk keeps only the vectors whose outermost
-nonzero Gram-Schmidt coordinate is positive, and each stands for itself and
-its negative.  The walk scales everything by one common denominator and
-then runs on Python ints alone: each loop range is an exact ``math.isqrt``
-bracket, every value in it is a vector of the ball, and each leaf carries
-an int key from which its norm is read back once per distinct key.  No
-walk visits more than ``lattices.WALK_LIMIT`` leaves, counted once per
+Every entry point runs one walk on Python ints: in the basis of
+``_linalg.lll`` of the scaled negated Gram, with pivots and coefficients
+from the LLL's integral Gram-Schmidt data, and each loop range an exact
+``math.isqrt`` bracket.  The walk builds the histogram {int key: count} of
+the coset vectors x with bound <= <x, x>, the key scaling <x, x> - bound:
+a count reads key 0, a theta series every key, and ``coset_vectors``
+collects the key-0 vectors.  It walks one sign of each pair {x, -x} on a
+coset that is its own negative (2c in M), runs its last two levels as two
+nested loops in one frame (Schnorr-Euchner partial sums give the level-0
+centres), and stops at ``lattices.WALK_LIMIT`` leaves, counted once per
 level-1 range.  No floating point is used.
 """
 
 import math
-from collections import Counter
 from functools import lru_cache
 from operator import mul
 
@@ -31,23 +24,20 @@ from .lattices import WALK_LIMIT, DiscGroup, Lattice, discriminant_group
 __all__ = ["coset_norm_counts", "count_coset_vectors", "coset_vectors", "root_data"]
 
 
-def _walk(lattice: Lattice, center, bound):
-    """(scale, basis, leaves) for the vectors x = z + center, z integral,
-    with bound <= <x, x>.
+def _walk(lattice: Lattice, center, bound, vectors=None):
+    """(scale, counts) over the vectors x = z + center, z integral, with
+    bound <= <x, x>: counts maps each int key scale (<x, x> - bound) to the
+    number of those x.  A list vectors gets every x of key 0 appended.
 
-    The walk runs in the LLL-reduced basis whose vectors are the rows of the
-    unimodular matrix basis.  leaves yields (y, key, weight): y is integral
-    with x = y basis + center, the int key is scale (<x, x> - bound), and
-    weight is 2 when the leaf also stands for -x (then x != -x), else 1.
-    y is one buffer, overwritten between yields: copy it to keep it.
+    One recursive function walks the reduced basis (the rows of basis) from
+    level n-1 down to level 2; levels 1 and 0 are two nested loops in one
+    frame that add each leaf to counts in place.
     """
-    # s (-G) is an int Gram; its reduced basis comes with the integral
-    # Gram-Schmidt data d, lam of the LLL
+    # s (-G) is an int Gram; the LLL also gives its integral Gram-Schmidt data d, lam
     s = math.lcm(*(den(a) for row in lattice.gram for a in row))
+    gram = [[-num(a) * (s // den(a)) for a in row] for row in lattice.gram]
     try:
-        _gram, basis, inverse, d, lam = _linalg.lll(
-            [[-num(a) * (s // den(a)) for a in row] for row in lattice.gram]
-        )
+        _gram, basis, inverse, d, lam = _linalg.lll(gram)
     except ValueError:
         raise ValueError("enumeration needs a negative definite lattice") from None
     n = len(basis)
@@ -62,54 +52,85 @@ def _walk(lattice: Lattice, center, bound):
     # q^2 (x_i + sum_{j>i} u_ij x_j).  Then q^5 s (-<x, x>) = sum_i D_i W_i^2,
     # and the budget q^5 s (-bound) - sum_{j>=i} D_j W_j^2 stays an int >= 0.
     q = math.lcm(
-        den(bound),
-        m,
-        *(d[i] // math.gcd(d[i], d[i + 1]) for i in range(n)),
+        den(bound), m, *(d[i] // math.gcd(d[i], d[i + 1]) for i in range(n)),
         *(d[i + 1] // math.gcd(lam[j][i], d[i + 1]) for i in range(n) for j in range(i + 1, n)),
     )
     q2 = q * q
     dd = [q * d[i + 1] // d[i] for i in range(n)]
     uu = [[q * lam[j][i] // d[i + 1] for j in range(i + 1, n)] for i in range(n)]
     cc = [q * c // m for c in lift]
-    vec = [0] * n
-    xx = [0] * n
+    scale = q**5 * s
+    top = -num(bound) * (scale // den(bound))
+    while len(dd) < 2:
+        # ranks 0 and 1 walk under virtual outer levels: the pivot exceeds the
+        # budget and the centre is 0, so the range is {0}
+        dd.append(top + 1)
+        cc.append(0)
+        uu = [row + [0] for row in uu] + [[]]
+    # X_i = q z_i + C_i; a leaf x is X basis / q in lattice coordinates
+    xx = [0] * len(dd)
+    cols = list(zip(*basis))
+    counts = {}
+    get = counts.get
+    isqrt = math.isqrt
+    d0, d1, u01, u0 = dd[0], dd[1], uu[0][0], uu[0][1:]
     work = 0
 
-    def charge(leaves):
-        nonlocal work
-        work += leaves
-        if work > WALK_LIMIT:
-            raise ValueError(f"{work} walk leaves exceed WALK_LIMIT = {WALK_LIMIT}")
-
     def rec(i, budget, weight):
+        nonlocal work
         # W = q^2 z + t, and D_i W^2 <= budget iff |W| <= isqrt(budget // D_i)
         t = q * cc[i] + sum(map(mul, uu[i], xx[i + 1 :]))
-        r = math.isqrt(budget // dd[i])
-        if i == 1:
-            # the leaves under a level-1 range: at most its length times the
-            # widest level-0 range
-            charge(((r - t) // q2 + (r + t) // q2 + 1) * (2 * math.isqrt(budget // dd[0]) // q2 + 1))
+        r = isqrt(budget // dd[i])
         # Weight 0 marks the fold: when 2c is in M, x -> -x maps the coset to
         # itself and every W to -W, so only W_i >= 0 is walked while the
         # outer W are 0.  A leaf below some W > 0 stands for x and -x, and
         # the leaf with every W = 0 is the zero vector.
-        for z in range(-(t // q2) if weight == 0 else -((r + t) // q2), (r - t) // q2 + 1):
-            w = q2 * z + t
-            rest = budget - dd[i] * w * w
-            vec[i] = z
-            if i:
-                xx[i] = q * z + cc[i]
-                yield from rec(i - 1, rest, weight or (2 if w else 0))
-            else:
-                yield vec, rest, weight or (2 if w else 1)
+        lo = -(t // q2) if weight == 0 else -((r + t) // q2)
+        x = q * lo + cc[i]
+        if i > 1:
+            for w in range(q2 * lo + t, r + 1, q2):
+                xx[i] = x
+                x += q
+                rec(i - 1, budget - dd[i] * w * w, weight or (2 if w else 0))
+            return
+        # the leaves under this level-1 range: at most its length times the
+        # widest level-0 range
+        work += ((r - t) // q2 + (r + t) // q2 + 1) * (2 * isqrt(budget // d0) // q2 + 1)
+        if work > WALK_LIMIT:
+            raise ValueError(f"{work} walk leaves exceed WALK_LIMIT = {WALK_LIMIT}")
+        # the level-0 centre t0 = q C_0 + sum_j>0 U_0j X_j: the terms j >= 2
+        # are summed once per level-1 range, and U_01 X_1 grows by U_01 q per z
+        t0 = q * cc[0] + sum(map(mul, u0, xx[2:])) + u01 * x
+        for w in range(q2 * lo + t, r + 1, q2):
+            rest = budget - d1 * w * w
+            r0 = isqrt(rest // d0)
+            weight0 = weight or (2 if w else 0)
+            # the least W_0 = q^2 z_0 + t0 of the range: >= -r0, or >= 0 under
+            # the fold; the leaf of W_0 has key rest - D_0 W_0^2
+            first = (r0 + t0) % q2 - r0 if weight0 else t0 % q2
+            if vectors is not None:
+                xx[1] = x
+                for w0 in range(first, r0 + 1, q2):
+                    if d0 * w0 * w0 == rest:
+                        xx[0] = (w0 - t0) // q + cc[0]
+                        v = tuple(qq(sum(map(mul, xx, col)), q) for col in cols)
+                        vectors.append(v)
+                        if weight0 == 2 or (weight0 == 0 and w0):
+                            vectors.append(tuple(-a for a in v))
+            x += q
+            t0 += u01 * q
+            if weight0 == 0:
+                if first == 0:
+                    # the zero vector stands for itself alone
+                    counts[rest] = get(rest, 0) + 1
+                    first = q2
+                weight0 = 2
+            for w0 in range(first, r0 + 1, q2):
+                key = rest - d0 * w0 * w0
+                counts[key] = get(key, 0) + weight0
 
-    scale = q**5 * s
-    top = -num(bound) * (scale // den(bound))
-    if n == 0:
-        return scale, basis, iter([(vec, top, 1)])
-    if n == 1:
-        charge(2 * math.isqrt(top // dd[0]) // q2 + 1)
-    return scale, basis, rec(n - 1, top, 0 if 2 % m == 0 else 1)
+    rec(len(dd) - 1, top, 0 if 2 % m == 0 else 1)
+    return scale, counts
 
 
 def _resolve_coset(disc: DiscGroup, coset):
@@ -137,41 +158,29 @@ def _check_spec(lattice: Lattice, coset, norm, shell=True):
 def coset_vectors(lattice: Lattice, coset, norm):
     """Sorted list of x in M* with x + M = coset and <x, x> = norm."""
     center, norm = _check_spec(lattice, coset, norm)
-    _scale, basis, leaves = _walk(lattice, center, norm)
-    cols = list(zip(zip(*basis), center))
     vectors = []
-    for y, key, weight in leaves:
-        if key == 0:
-            x = tuple(sum(map(mul, y, col)) + c for col, c in cols)
-            vectors.append(x)
-            if weight == 2:
-                vectors.append(tuple(-a for a in x))
+    _walk(lattice, center, norm, vectors)
     return sorted(vectors)
 
 
 def count_coset_vectors(lattice: Lattice, coset, norm) -> int:
     """Exact number of x in M* with x + M = coset and <x, x> = norm."""
     center, norm = _check_spec(lattice, coset, norm)
-    _scale, _basis, leaves = _walk(lattice, center, norm)
-    return sum(weight for _y, key, weight in leaves if key == 0)
+    _scale, counts = _walk(lattice, center, norm)
+    return counts.get(0, 0)
 
 
 def coset_norm_counts(lattice: Lattice, coset, bound) -> dict:
     """{norm: number of x in M* with x + M = coset and <x, x> = norm} over
     bound <= norm <= 0, norms in decreasing order, from one enumeration."""
     center, bound = _check_spec(lattice, coset, bound, shell=False)
-    scale, _basis, leaves = _walk(lattice, center, bound)
-    counts = Counter()
-    for _y, key, weight in leaves:
-        counts[key] += weight
+    scale, counts = _walk(lattice, center, bound)
     return {bound + qq(key, scale): c for key, c in sorted(counts.items(), reverse=True)}
 
 
 @lru_cache(maxsize=None)
 def root_data(lattice: Lattice):
     """(root_count, positive_root_count) for an even negative definite lattice."""
-    if lattice.rank == 0:
-        return (0, 0)
     if not lattice.is_even():
         raise ValueError("root data needs an even lattice")
     roots = count_coset_vectors(lattice, None, qq(-2))

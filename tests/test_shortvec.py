@@ -260,3 +260,23 @@ def test_fold_on_self_opposite_cosets(case):
     check_against_standard(
         lat, u, -8, [el for el in sk.elements() if sk.add(el, el) == sk.zero()]
     )
+
+
+@pytest.mark.parametrize(
+    "lat",
+    SMALL_LATTICES + [Lattice(tuple(tuple(qq(x) for x in row) for row in g)) for g in SELF_OPPOSITE],
+)
+def test_coset_vectors_are_the_counted_vectors(lat):
+    # each shell down to -6 of every coset: as many distinct vectors as the
+    # count (checked against the box search above), each of that norm and in
+    # that coset, and closed under negation when the coset is its own negative
+    disc = discriminant_group(lat)
+    for el in disc.elements():
+        lift = disc.lift(el)
+        for norm in norm_ladder(-mod_q(-disc.q(el), qq(2)), -6):
+            vecs = coset_vectors(lat, el, norm)
+            assert len(set(vecs)) == len(vecs) == count_coset_vectors(lat, el, norm)
+            for v in vecs:
+                assert lat.inner(v, v) == norm and all(is_integer(a - b) for a, b in zip(v, lift))
+            if disc.neg(el) == el:
+                assert {tuple(-a for a in v) for v in vecs} == set(vecs)
