@@ -9,6 +9,8 @@ comparison through the supplied zero/one samples, so they serve both the
 rational backend and Q(w).
 """
 
+import math
+
 from ._rational import qq
 
 # ---------------------------------------------------------------------------
@@ -259,18 +261,18 @@ def lll(gram):
 
 
 def smith_normal_form(a, mod):
-    """(S, V) with U*A*V = S diagonal, d1 | d2 | ..., for some unimodular U.
+    """(d, V): the invariant factors d1 | d2 | ... of a nonsingular square
+    int A, mod = |det A|, and V with U*A*V = S mod ``mod`` diagonal for some
+    unimodular U.
 
-    Only V is kept, reduced mod ``mod``: a multiple of every invariant factor
-    (|det A| for a nonsingular square A), so V S^-1 is still exact mod 1.
+    The working matrix is kept reduced mod ``mod``, as V is (Cohen, GTM 138,
+    2.4.3): A and A mod |det A| have the same cokernel, so d_i is
+    gcd(S_ii, mod), a zero S_ii counting as mod, and A (column i of V) / d_i
+    is integral.
     """
-    a = [[int(x) for x in row] for row in a]
-    m = len(a)
-    n = len(a[0]) if m else 0
+    a = [[x % mod for x in row] for row in a]
+    n = len(a)
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -279,36 +281,30 @@ def smith_normal_form(a, mod):
             row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, f):
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
+        a[dst] = [(x + f * y) % mod for x, y in zip(a[dst], a[src])]
 
     def add_col(dst, src, f):
         for row in a:
-            row[dst] += f * row[src]
+            row[dst] = (row[dst] + f * row[src]) % mod
         for row in v:
             row[dst] = (row[dst] + f * row[src]) % mod
 
-    t = 0
-    while t < min(m, n):
-        # locate a pivot of minimal absolute value in the trailing block
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    piv = (i, j)
+    for t in range(n):
+        # a least nonzero entry of the trailing block, all in [0, mod), as pivot
+        block = range(t, n)
+        piv = min(((a[i][j], i, j) for i in block for j in block if a[i][j]), default=None)
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+        a[t], a[piv[1]] = a[piv[1]], a[t]
+        swap_cols(t, piv[2])
         dirty = True
         while dirty:
             dirty = False
-            for i in range(t + 1, m):
+            for i in range(t + 1, n):
                 if a[i][t] != 0:
                     add_row(i, t, -(a[i][t] // a[t][t]))
                     if a[i][t] != 0:
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
                         dirty = True
             for j in range(t + 1, n):
                 if a[t][j] != 0:
@@ -318,20 +314,12 @@ def smith_normal_form(a, mod):
                         dirty = True
             if not dirty:
                 # pivot must divide the whole trailing block
-                stop = False
-                for i in range(t + 1, m):
-                    for j in range(t + 1, n):
-                        if a[i][j] % a[t][t] != 0:
-                            add_row(t, i, 1)
-                            dirty = True
-                            stop = True
-                            break
-                    if stop:
-                        break
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        t += 1
-    return a, v
+                rest = range(t + 1, n)
+                i = next((i for i in rest for j in rest if a[i][j] % a[t][t]), None)
+                if i is not None:
+                    add_row(t, i, 1)
+                    dirty = True
+    return [math.gcd(a[i][i], mod) for i in range(n)], v
 
 
 def hermite_row_basis(rows, n):

@@ -10,11 +10,13 @@ the code relies on.
 Set ``MODULIQ_BACKEND=fractions`` to force the pure-Python implementation
 (``python3 perfbench/backends.py`` runs the benchmark once per backend).
 
-``padic_valuation`` (with ``is_prime``) is the one number-theoretic helper
-of the ledger, so ``moduliq t9``, ``kequiv`` and ``ledger`` load the ledger
-and this module only, without the Q(w) scalars.  ``Frozen`` is the base of
-the package's immutable value records; it lives here because every layer
-already imports this module.
+``det_bareiss`` is the package's one int determinant, read by the
+discriminant groups of ``lattices`` and the Sylvester determinants of
+``luna``.  ``padic_valuation`` (with ``is_prime``) is the one
+number-theoretic helper of the ledger, so ``moduliq t9``, ``kequiv`` and
+``ledger`` load the ledger and this module only, without the Q(w) scalars.
+``Frozen`` is the base of the package's immutable value records; it lives
+here because every layer already imports this module.
 """
 
 import math
@@ -92,6 +94,30 @@ def fmt_q(x) -> str:
     if den(x) == 1:
         return str(num(x))
     return f"{num(x)}/{den(x)}"
+
+
+def det_bareiss(matrix) -> int:
+    """Determinant of a square int matrix by fraction-free Bareiss elimination:
+    every division by the previous pivot is exact.  The empty matrix has
+    determinant 1."""
+    a = [list(row) for row in matrix]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - lead * row_k[j]) // prev
+        prev = pivot
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def is_prime(p: int) -> bool:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import mul
 
 from . import _linalg
-from ._rational import Frozen, as_int, den, fmt_q, is_integer, mod_q, num, qq
+from ._rational import Frozen, as_int, den, det_bareiss, fmt_q, is_integer, mod_q, num, qq
 
 __all__ = [
     "Lattice",
@@ -43,13 +43,18 @@ WALK_LIMIT = 200_000  # leaves of one shortvec walk, counted per level-1 range; 
 
 
 class Lattice(Frozen):
-    """A Gram matrix (tuple of tuples of rationals) and an optional name."""
+    """A Gram matrix (tuple of tuples of rationals) and an optional name.
+    Whether the Gram is integral and even is read once, on construction."""
 
     _fields = ("gram", "name")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields + ("_hash", "_integral", "_even")
 
     def __init__(self, gram: tuple, name: str = ""):
         super().__init__(gram, name)
+        integral = all(x.denominator == 1 for row in gram for x in row)
+        even = integral and all(num(row[i]) % 2 == 0 for i, row in enumerate(gram))
+        object.__setattr__(self, "_integral", integral)
+        object.__setattr__(self, "_even", even)
 
     def __hash__(self):
         # computed once: each lru_cache lookup hashes its key, and hashing the
@@ -70,12 +75,10 @@ class Lattice(Frozen):
         return _linalg.det_field(self.gram, qq(1), qq(0))
 
     def is_integral(self) -> bool:
-        return all(is_integer(x) for row in self.gram for x in row)
+        return self._integral
 
     def is_even(self) -> bool:
-        if not self.is_integral():
-            return False
-        return all(num(self.gram[i][i]) % 2 == 0 for i in range(self.rank))
+        return self._even
 
     def signature(self):
         pos, neg, null = _linalg.inertia(self.gram)
@@ -284,23 +287,21 @@ class DiscGroup(Frozen):
 def discriminant_group(lattice: Lattice) -> DiscGroup:
     if not lattice.is_integral():
         raise ValueError("discriminant group needs an integral lattice")
-    d = lattice.det()
-    if d == 0:
-        raise ValueError("degenerate Gram matrix")
     n = lattice.rank
     g_int = [[as_int(x) for x in row] for row in lattice.gram]
-    s, v = _linalg.smith_normal_form(g_int, abs(as_int(d)))
-    factors = []
-    lifts = []
-    for i in range(n):
-        di = s[i][i]
+    d = abs(det_bareiss(g_int))
+    if d == 0:
+        raise ValueError("degenerate Gram matrix")
+    invariant, v = _linalg.smith_normal_form(g_int, d)
+    factors, lifts = [], []
+    for i, di in enumerate(invariant):
         if di > 1:
             factors.append(di)
-            # G^-1 U^-1 = V S^-1 for U G V = S: column i of V over d_i is the
-            # generator in lattice coordinates, taken mod 1
+            # U G V = S mod |det G| with d_i | S_ii: column i of V over d_i is
+            # in G^-1 Z^n, the generator in lattice coordinates, taken mod 1
             lifts.append(tuple(qq(v[r][i] % di, di) for r in range(n)))
     group = DiscGroup(tuple(factors), tuple(lifts), lattice)
-    assert group.order == abs(as_int(d))
+    assert group.order == d
     return group
 
 

@@ -5,15 +5,16 @@ monomial entries, expanded by a memoized banded Laplace recursion over
 integer multivariate polynomials.  The degree-12 restriction is only ever
 evaluated along one-parameter lines t, where every Sylvester entry is
 c0 + c1 t: substituting t = 2^B (Kronecker) turns the determinant into one
-fraction-free Bareiss elimination over Z, whose value is read back as the
-balanced base-2^B digits of det(t).
+fraction-free Bareiss elimination over Z (``_rational.det_bareiss``, the
+package's one int determinant), whose value is read back as the balanced
+base-2^B digits of det(t).
 """
 
 import math
 from functools import lru_cache
 
 from . import certified
-from ._rational import as_int, den, qq
+from ._rational import as_int, den, det_bareiss, qq
 
 __all__ = [
     "SEXTIC_WEIGHTS",
@@ -161,29 +162,6 @@ def det_banded_laplace(matrix):
         return total
 
     return rec(0, tuple(range(n)))
-
-
-def det_bareiss(matrix) -> int:
-    """Determinant of a square int matrix by fraction-free Bareiss elimination:
-    every division by the previous pivot is exact."""
-    a = [list(row) for row in matrix]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, row_k = a[k][k], a[k]
-        for row in a[k + 1 :]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - lead * row_k[j]) // prev
-        prev = pivot
-    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,16 @@ def test_discriminant_groups():
     assert a2.q(gen) == qq(4, 3)  # -2/3 mod 2
 
 
+def test_discriminant_group_refuses_degenerate_and_non_integral_grams():
+    singular = Lattice(((qq(-2), qq(1), qq(1)), (qq(1), qq(-2), qq(1)), (qq(1), qq(1), qq(-2))))
+    with pytest.raises(ValueError, match="^degenerate Gram matrix$"):
+        discriminant_group(singular)
+    with pytest.raises(ValueError, match="^degenerate Gram matrix$"):
+        discriminant_group(build_standard("U+U(0)"))
+    with pytest.raises(ValueError, match="^discriminant group needs an integral lattice$"):
+        discriminant_group(build_standard("A2(1/2)"))
+
+
 def test_discriminant_lifts_are_reduced_generators():
     for name in ("A1", "A2", "E6", "A2+A1", "A2+A2", "E6+A2", "L_dm"):
         lat = build_standard(name)

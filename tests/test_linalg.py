@@ -1,7 +1,7 @@
-"""The eliminations of ``_linalg`` against oracles written here: the
-Leibniz sum for determinants, the largest nonzero minor for ranks, and
-A^-1 A = I for inverses, on small integer matrices over Q and over Q(w);
-and the integral LLL against its defining conditions, with every
+"""The eliminations of ``_linalg`` and the int Bareiss of ``_rational``
+against oracles written here: the Leibniz sum for determinants, the
+largest nonzero minor for ranks, and A^-1 A = I for inverses, on small
+integer matrices over Q and over Q(w); and the integral LLL against its defining conditions, with every
 Gram-Schmidt quantity recomputed as a determinant."""
 
 import itertools
@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from moduliq import qq
+from moduliq._rational import as_int, det_bareiss
 from moduliq._linalg import (
     det_field,
     inertia,
@@ -75,6 +76,22 @@ def test_det_field_is_the_leibniz_sum(case):
     before = [list(row) for row in a]
     assert det_field(a, one, zero) == leibniz_det(a, one, zero)
     assert a == before
+    if one == qq(1):
+        # the int Bareiss on the same matrix; its entries are integers
+        ints = [[as_int(x) for x in row] for row in a]
+        assert det_bareiss(ints) == leibniz_det(ints, 1, 0)
+        assert ints == [[as_int(x) for x in row] for row in before]
+
+
+@pytest.mark.parametrize("a, det", [
+    ([], 1),
+    ([[0, 1], [1, 0]], -1),  # a zero pivot: one row swap
+    ([[0, 2, 1], [0, 1, 3], [4, 0, 5]], 20),  # the swap takes the last row
+    ([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 0),  # a swap at the second step, then a zero row
+    ([[0, 0], [0, 7]], 0),  # no pivot in the first column
+])
+def test_det_bareiss_swaps_and_singular_matrices(a, det):
+    assert det_bareiss(a) == det == (leibniz_det(a, 1, 0) if a else 1)
 
 
 @given(matrices(square=False))
