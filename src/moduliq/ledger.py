@@ -11,9 +11,9 @@ independent class "1".
 A coefficient is a ``Lin``, whose constructor is the one place a number
 becomes a backend rational, and ``Lin.scale`` is the one product: by a
 rational, or by a ``Lin`` when at most one factor carries x.  One
-elimination, ``_leftover``, reduces a relation set; ``solve_unknown`` reads
-the unknown off its rows, and ``consistency_report`` reads conflicts and
-repairs off it with one relation left out at a time.
+elimination, ``_leftover``, reduces the residual rows lhs - rhs of a
+relation set; ``solve_unknown`` reads the unknown off it, and
+``consistency_report`` conflicts and repairs, leaving one row out at a time.
 
 The module ships the canonical-bundle bookkeeping for twelve points: the
 Hassett-Keel formulas for the ordered spaces, the ball-quotient relations
@@ -182,17 +182,17 @@ class InconsistentError(ValueError):
     pass
 
 
-def _leftover(rels: RelationSet, skip=None) -> list:
-    """The rows lhs - rhs of the relations (but the one named skip) after
-    eliminating every dependent class, as dicts class -> nonzero Lin; rows
-    that vanish are dropped.
+def _leftover(residuals, independent) -> list:
+    """The residual rows lhs - rhs (dicts class -> nonzero Lin, left as they
+    are) after eliminating every class not in independent; rows that vanish
+    are dropped.
 
     Dependent classes are pivoted out in name order, each through the first
     row whose coefficient on it is free of x; a class that only appears with
     x-carrying coefficients stays.  ValueError if a step multiplies x by x.
     """
-    rows = [rel.residual().as_dict() for rel in rels.relations if rel.name != skip]
-    dependent = sorted({name for row in rows for name in row} - set(rels.independent))
+    rows = [dict(row) for row in residuals]
+    dependent = sorted({name for row in rows for name in row} - set(independent))
     for name in dependent:
         pivot = next((row for row in rows if name in row and not row[name].b), None)
         if pivot is None:
@@ -220,8 +220,14 @@ def solve_unknown(rels: RelationSet):
     the independent classes must pin the unknown uniquely.  The result does
     not depend on the order of the relations.
     """
+    rows = _leftover([rel.residual().as_dict() for rel in rels.relations], rels.independent)
+    return _pin_unknown(rows)
+
+
+def _pin_unknown(rows):
+    """The one value of x that makes every leftover row vanish."""
     solution = None
-    for row in _leftover(rels):
+    for row in rows:
         for c in row.values():
             if not c.b:
                 raise InconsistentError("system is inconsistent")
@@ -250,25 +256,25 @@ def consistency_report(rels: RelationSet) -> ConsistencyReport:
     carrier of a repaired coefficient; repairs that make the full system
     consistent are reported with their unique value.
     """
-    bad = _leftover(rels)
+    # every residual is built once, and each elimination below reads them
+    residuals = [rel.residual().as_dict() for rel in rels.relations]
+    bad = _leftover(residuals, rels.independent)
     if not bad:
         return ConsistencyReport(True, (), (), ())
     conflicts = []
     repairs = []
-    for rel in rels.relations:
-        if _leftover(rels, skip=rel.name):
+    for rel, residual in zip(rels.relations, residuals):
+        others = [row for r, row in zip(rels.relations, residuals) if r.name != rel.name]
+        if _leftover(others, rels.independent):
             continue
         conflicts.append(rel.name)
-        others = [r for r in rels.relations if r.name != rel.name]
-        for name, _c in rel.residual().coeffs:
+        for name in residual:
             sides = {"lhs": rel.lhs.as_dict(), "rhs": rel.rhs.as_dict()}
             side = "lhs" if name in sides["lhs"] else "rhs"
             sides[side][name] = UNKNOWN
-            candidate = Relation(
-                rel.name, DivisorExpr.make(sides["lhs"]), DivisorExpr.make(sides["rhs"])
-            )
+            candidate = (DivisorExpr.make(sides["lhs"]) - DivisorExpr.make(sides["rhs"])).as_dict()
             try:
-                value = solve_unknown(RelationSet.make(others + [candidate], rels.independent))
+                value = _pin_unknown(_leftover(others + [candidate], rels.independent))
             except ValueError:  # InconsistentError, UnderdeterminedError or x*x
                 continue
             repairs.append((rel.name, name, side, value))
