@@ -79,6 +79,16 @@ def test_luna_loads_the_slice_layer_alone():
     assert _loaded(["luna"]) == ([0], FRONTEND | {"luna"})
 
 
+def test_lattice_and_theta_load_their_layers_alone():
+    # every module a process loads it also compiles when no bytecode is
+    # cached, so neither command may quietly grow its set of modules
+    lattice = (["lattice", "--name", "L_dm"], ["lattice", "--name", "L_dm", "--pairing-table"])
+    assert _loaded(*lattice) == ([0, 0], FRONTEND | {"_linalg", "lattices"})
+    theta = (["theta", "--lattice", "E6", "--coset", "1", "--prec", "3"], ["theta", "--lattice", "A2"])
+    layers = {"_linalg", "lattices", "modforms", "qseries", "scalars", "shortvec"}
+    assert _loaded(*theta) == ([0, 0], FRONTEND | layers)
+
+
 def test_no_subcommand_loads_dataclasses_or_inspect():
     # every golden command line, so every row of COMMANDS, in one interpreter
     argvs = [line.split() for line in RECORDS]
