@@ -43,8 +43,7 @@ WALK_LIMIT = 200_000  # leaves of one shortvec walk, counted per level-1 range; 
 
 
 class Lattice(Frozen):
-    """A Gram matrix (tuple of tuples of rationals) and an optional name.
-    Whether the Gram is integral and even is read once, on construction."""
+    """A Gram matrix (tuple of tuples of rationals) and an optional name."""
 
     _fields = ("gram", "name")
     __slots__ = _fields + ("_hash", "_integral", "_even")

@@ -8,9 +8,9 @@ the coset vectors x with bound <= <x, x>, the key scaling <x, x> - bound:
 a count reads key 0, a theta series every key, and ``coset_vectors``
 collects the key-0 vectors.  It walks one sign of each pair {x, -x} on a
 coset that is its own negative (2c in M), runs its last two levels as two
-nested loops in one frame (Schnorr-Euchner partial sums give the level-0
-centres), and stops at ``lattices.WALK_LIMIT`` leaves, counted once per
-level-1 range.  No floating point is used.
+nested loops in one frame, hands each level its centre from the level above
+(Schnorr-Euchner partial sums), and stops at ``lattices.WALK_LIMIT`` leaves,
+counted once per level-1 range.  No floating point is used.
 """
 
 import math
@@ -30,8 +30,7 @@ def _walk(lattice: Lattice, center, bound, vectors=None):
     number of those x.  A list vectors gets every x of key 0 appended.
 
     One recursive function walks the reduced basis (the rows of basis) from
-    level n-1 down to level 2; levels 1 and 0 are two nested loops in one
-    frame that add each leaf to counts in place.
+    level n-1; levels 1 and 0 are two nested loops in one frame.
     """
     # s (-G) is an int Gram; the LLL also gives its integral Gram-Schmidt data d, lam
     s = math.lcm(*(den(a) for row in lattice.gram for a in row))
@@ -62,8 +61,7 @@ def _walk(lattice: Lattice, center, bound, vectors=None):
     scale = q**5 * s
     top = -num(bound) * (scale // den(bound))
     while len(dd) < 2:
-        # ranks 0 and 1 walk under virtual outer levels: the pivot exceeds the
-        # budget and the centre is 0, so the range is {0}
+        # ranks 0 and 1 get outer levels of centre 0 and range {0}
         dd.append(top + 1)
         cc.append(0)
         uu = [row + [0] for row in uu] + [[]]
@@ -72,64 +70,69 @@ def _walk(lattice: Lattice, center, bound, vectors=None):
     cols = list(zip(*basis))
     counts = {}
     get = counts.get
-    isqrt = math.isqrt
-    d0, d1, u01, u0 = dd[0], dd[1], uu[0][0], uu[0][1:]
+    # the centre q C_i-1 + sum_j>=i U_i-1,j X_j of level i-1 sums its terms j > i once
+    # per level-i range and steps by U_i-1,i q per X_i (Schnorr-Euchner partial sums)
+    qcc = [q * c for c in cc]
+    lead, tail = [row[0] for row in uu[:-1]], [row[1:] for row in uu]
+    d0, d1 = dd[0], dd[1]
     work = 0
 
-    def rec(i, budget, weight):
+    def rec(i, budget, weight, t):
+        # level i has centre t: W = q^2 z + t, and D_i W^2 <= budget iff
+        # |W| <= isqrt(budget // D_i)
         nonlocal work
-        # W = q^2 z + t, and D_i W^2 <= budget iff |W| <= isqrt(budget // D_i)
-        t = q * cc[i] + sum(map(mul, uu[i], xx[i + 1 :]))
-        r = isqrt(budget // dd[i])
+        r = math.isqrt(budget // dd[i])
         # Weight 0 marks the fold: when 2c is in M, x -> -x maps the coset to
         # itself and every W to -W, so only W_i >= 0 is walked while the
         # outer W are 0.  A leaf below some W > 0 stands for x and -x, and
         # the leaf with every W = 0 is the zero vector.
         lo = -(t // q2) if weight == 0 else -((r + t) // q2)
+        w = q2 * lo + t
         x = q * lo + cc[i]
+        tc = qcc[i - 1] + sum(map(mul, tail[i - 1], xx[i + 1 :])) + lead[i - 1] * x
+        step = lead[i - 1] * q
         if i > 1:
-            for w in range(q2 * lo + t, r + 1, q2):
+            while w <= r:
                 xx[i] = x
+                rec(i - 1, budget - dd[i] * w * w, weight or (2 if w else 0), tc)
+                w += q2
                 x += q
-                rec(i - 1, budget - dd[i] * w * w, weight or (2 if w else 0))
+                tc += step
             return
-        # the leaves under this level-1 range: at most its length times the
-        # widest level-0 range
-        work += ((r - t) // q2 + (r + t) // q2 + 1) * (2 * isqrt(budget // d0) // q2 + 1)
+        # charge the leaves under this level-1 range: its length times the widest level-0 range
+        work += ((r - t) // q2 + (r + t) // q2 + 1) * (2 * math.isqrt(budget // d0) // q2 + 1)
         if work > WALK_LIMIT:
             raise ValueError(f"{work} walk leaves exceed WALK_LIMIT = {WALK_LIMIT}")
-        # the level-0 centre t0 = q C_0 + sum_j>0 U_0j X_j: the terms j >= 2
-        # are summed once per level-1 range, and U_01 X_1 grows by U_01 q per z
-        t0 = q * cc[0] + sum(map(mul, u0, xx[2:])) + u01 * x
-        for w in range(q2 * lo + t, r + 1, q2):
+        while w <= r:
             rest = budget - d1 * w * w
-            r0 = isqrt(rest // d0)
+            r0 = math.isqrt(rest // d0)
             weight0 = weight or (2 if w else 0)
-            # the least W_0 = q^2 z_0 + t0 of the range: >= -r0, or >= 0 under
+            # the least W_0 = q^2 z_0 + tc of the range: >= -r0, or >= 0 under
             # the fold; the leaf of W_0 has key rest - D_0 W_0^2
-            first = (r0 + t0) % q2 - r0 if weight0 else t0 % q2
+            w0 = (r0 + tc) % q2 - r0 if weight0 else tc % q2
             if vectors is not None:
-                xx[1] = x
-                for w0 in range(first, r0 + 1, q2):
-                    if d0 * w0 * w0 == rest:
-                        xx[0] = (w0 - t0) // q + cc[0]
+                xx[1] = (w - t) // q + cc[1]
+                for v0 in range(w0, r0 + 1, q2):
+                    if d0 * v0 * v0 == rest:
+                        xx[0] = (v0 - tc) // q + cc[0]
                         v = tuple(qq(sum(map(mul, xx, col)), q) for col in cols)
                         vectors.append(v)
-                        if weight0 == 2 or (weight0 == 0 and w0):
+                        if weight0 == 2 or (weight0 == 0 and v0):
                             vectors.append(tuple(-a for a in v))
-            x += q
-            t0 += u01 * q
+            w += q2
+            tc += step
             if weight0 == 0:
-                if first == 0:
+                if w0 == 0:
                     # the zero vector stands for itself alone
                     counts[rest] = get(rest, 0) + 1
-                    first = q2
+                    w0 = q2
                 weight0 = 2
-            for w0 in range(first, r0 + 1, q2):
+            while w0 <= r0:
                 key = rest - d0 * w0 * w0
                 counts[key] = get(key, 0) + weight0
+                w0 += q2
 
-    rec(len(dd) - 1, top, 0 if 2 % m == 0 else 1)
+    rec(len(dd) - 1, top, 0 if 2 % m == 0 else 1, qcc[-1])
     return scale, counts
 
 
