@@ -256,15 +256,15 @@ def consistency_report(rels: RelationSet) -> ConsistencyReport:
     carrier of a repaired coefficient; repairs that make the full system
     consistent are reported with their unique value.
     """
-    # every residual is built once, and each elimination below reads them
-    residuals = [rel.residual().as_dict() for rel in rels.relations]
-    bad = _leftover(residuals, rels.independent)
+    # every residual row is built once, and each elimination below reads them
+    rows = [rel.residual().as_dict() for rel in rels.relations]
+    bad = _leftover(rows, rels.independent)
     if not bad:
         return ConsistencyReport(True, (), (), ())
     conflicts = []
     repairs = []
-    for rel, residual in zip(rels.relations, residuals):
-        others = [row for r, row in zip(rels.relations, residuals) if r.name != rel.name]
+    for rel, residual in zip(rels.relations, rows):
+        others = [row for r, row in zip(rels.relations, rows) if r.name != rel.name]
         if _leftover(others, rels.independent):
             continue
         conflicts.append(rel.name)

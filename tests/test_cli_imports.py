@@ -82,9 +82,9 @@ def test_luna_loads_the_slice_layer_alone():
 def test_lattice_and_theta_load_their_layers_alone():
     # every module a process loads it also compiles when no bytecode is
     # cached, so neither command may quietly grow its set of modules
-    lattice = (["lattice", "--name", "L_dm"], ["lattice", "--name", "L_dm", "--pairing-table"])
+    lattice = ("lattice --name L_dm".split(), "lattice --name L_dm --pairing-table".split())
     assert _loaded(*lattice) == ([0, 0], FRONTEND | {"_linalg", "lattices"})
-    theta = (["theta", "--lattice", "E6", "--coset", "1", "--prec", "3"], ["theta", "--lattice", "A2"])
+    theta = ("theta --lattice E6 --coset 1 --prec 3".split(), "theta --lattice A2".split())
     layers = {"_linalg", "lattices", "modforms", "qseries", "scalars", "shortvec"}
     assert _loaded(*theta) == ([0, 0], FRONTEND | layers)
 

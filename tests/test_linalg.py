@@ -1,8 +1,9 @@
 """The eliminations of ``_linalg`` and the int Bareiss of ``_rational``
 against oracles written here: the Leibniz sum for determinants, the
 largest nonzero minor for ranks, and A^-1 A = I for inverses, on small
-integer matrices over Q and over Q(w); and the integral LLL against its defining conditions, with every
-Gram-Schmidt quantity recomputed as a determinant."""
+integer matrices over Q and over Q(w); and the integral LLL against its
+defining conditions, with every Gram-Schmidt quantity recomputed as a
+determinant."""
 
 import itertools
 

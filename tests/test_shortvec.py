@@ -264,7 +264,8 @@ def test_fold_on_self_opposite_cosets(case):
 
 @pytest.mark.parametrize(
     "lat",
-    SMALL_LATTICES + [Lattice(tuple(tuple(qq(x) for x in row) for row in g)) for g in SELF_OPPOSITE],
+    SMALL_LATTICES
+    + [Lattice(tuple(tuple(qq(x) for x in row) for row in gram)) for gram in SELF_OPPOSITE],
 )
 def test_coset_vectors_are_the_counted_vectors(lat):
     # each shell down to -6 of every coset: as many distinct vectors as the
