@@ -32,9 +32,9 @@ def _walk(lattice: Lattice, center, bound, vectors=None):
     One recursive function walks the reduced basis (the rows of basis) from
     level n-1; levels 1 and 0 are two nested loops in one frame.
     """
-    # s (-G) is an int Gram; the LLL also gives its integral Gram-Schmidt data d, lam
-    s = math.lcm(*(den(a) for row in lattice.gram for a in row))
-    gram = [[-num(a) * (s // den(a)) for a in row] for row in lattice.gram]
+    # -G is an int Gram, since every caller has built the discriminant group
+    # of the lattice; the LLL also gives its integral Gram-Schmidt data d, lam
+    gram = [[-num(a) for a in row] for row in lattice.gram]
     try:
         _gram, basis, inverse, d, lam = _linalg.lll(gram)
     except ValueError:
@@ -44,12 +44,12 @@ def _walk(lattice: Lattice, center, bound, vectors=None):
     m = math.lcm(*map(den, center))
     lift = [num(c) * (m // den(c)) for c in center]
     lift = [sum(map(mul, lift, col)) for col in zip(*inverse)]
-    # s <x, x> = -sum_i d_i (x_i + sum_j>i u_ij x_j)^2 with pivots
+    # <x, x> = -sum_i d_i (x_i + sum_j>i u_ij x_j)^2 with pivots
     # d_i = d[i+1] / d[i] and u_ij = lam[j][i] / d[i+1].  With one
     # denominator q, D_i = q d_i, U_ij = q u_ij and C_i = q c_i are ints, and
     # so are X_j = q x_j and W_i = q X_i + sum_{j>i} U_ij X_j =
-    # q^2 (x_i + sum_{j>i} u_ij x_j).  Then q^5 s (-<x, x>) = sum_i D_i W_i^2,
-    # and the budget q^5 s (-bound) - sum_{j>=i} D_j W_j^2 stays an int >= 0.
+    # q^2 (x_i + sum_{j>i} u_ij x_j).  Then q^5 (-<x, x>) = sum_i D_i W_i^2,
+    # and the budget q^5 (-bound) - sum_{j>=i} D_j W_j^2 stays an int >= 0.
     q = math.lcm(
         den(bound), m, *(d[i] // math.gcd(d[i], d[i + 1]) for i in range(n)),
         *(d[i + 1] // math.gcd(lam[j][i], d[i + 1]) for i in range(n) for j in range(i + 1, n)),
@@ -58,7 +58,7 @@ def _walk(lattice: Lattice, center, bound, vectors=None):
     dd = [q * d[i + 1] // d[i] for i in range(n)]
     uu = [[q * lam[j][i] // d[i + 1] for j in range(i + 1, n)] for i in range(n)]
     cc = [q * c // m for c in lift]
-    scale = q**5 * s
+    scale = q**5
     top = -num(bound) * (scale // den(bound))
     while len(dd) < 2:
         # ranks 0 and 1 get outer levels of centre 0 and range {0}
