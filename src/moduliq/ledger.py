@@ -13,7 +13,7 @@ becomes a backend rational, and ``Lin.scale`` is the one product: by a
 rational, or by a ``Lin`` when at most one factor carries x.  One
 elimination, ``_leftover``, reduces the residual rows lhs - rhs of a
 relation set; ``solve_unknown`` reads the unknown off it, and
-``consistency_report`` conflicts and repairs, leaving one row out at a time.
+``consistency_report`` reads conflicts and repairs off it, one row left out at a time.
 
 The module ships the canonical-bundle bookkeeping for twelve points: the
 Hassett-Keel formulas for the ordered spaces, the ball-quotient relations
