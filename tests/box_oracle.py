@@ -9,8 +9,8 @@ import itertools
 import math
 from collections import Counter
 
+from field_oracle import mat_inverse
 from moduliq import qq
-from moduliq._linalg import mat_inverse
 from moduliq._rational import as_int, den, num
 from moduliq.lattices import discriminant_group
 

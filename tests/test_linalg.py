@@ -1,9 +1,9 @@
-"""The eliminations of ``_linalg`` and the int Bareiss of ``_rational``
-against oracles written here: the Leibniz sum for determinants, the
-largest nonzero minor for ranks, and A^-1 A = I for inverses, on small
-integer matrices over Q and over Q(w); and the integral LLL against its
-defining conditions, with every Gram-Schmidt quantity recomputed as a
-determinant."""
+"""The eliminations of ``_linalg``, the int Bareiss of ``_rational`` and
+the references of ``field_oracle`` against oracles written here: the
+Leibniz sum for determinants, the largest nonzero minor for ranks, and
+A^-1 A = I for inverses, on small integer matrices over Q and over Q(w);
+and the integral LLL against its defining conditions, with every
+Gram-Schmidt quantity recomputed as a determinant."""
 
 import itertools
 
@@ -11,18 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from field_oracle import det_field, inertia, mat_inverse
 from moduliq import qq
 from moduliq._rational import as_int, det_bareiss
-from moduliq._linalg import (
-    det_field,
-    inertia,
-    lll,
-    mat_identity,
-    mat_inverse,
-    mat_mul,
-    mat_transpose,
-    rank_field,
-)
+from moduliq._linalg import lll, mat_identity, mat_mul, mat_transpose, rank_field
 from moduliq.lattices import build_standard
 from moduliq.scalars import CYC_ONE, CYC_ZERO, CycNum
 
