@@ -1,24 +1,22 @@
-"""Small exact linear algebra helpers: one field elimination (``_echelon``,
-read by the determinant, rank and inverse), one symmetric elimination of
-pivots (``inertia``), the integral LLL that the short-vector walk reduces
-and reads its Gram-Schmidt pivots from, and Smith/Hermite forms.
+"""Small exact linear algebra helpers: a field rank by forward
+elimination, the fraction-free symmetric elimination (``inertia``) that
+gives a lattice its signature, the integral LLL that the short-vector walk
+reduces and reads its Gram-Schmidt pivots from, and Smith/Hermite forms.
 
 Matrices are tuples of tuples (immutable) or lists of lists (work buffers).
-Field routines are generic over any type supporting +,-,*,/ and == 0
+The field routines are generic over any type supporting +,-,*,/ and == 0
 comparison through the supplied zero/one samples, so they serve both the
-rational backend and Q(w).
+rational backend and Q(w).  Lattice invariants are computed on ints: a
+rational Gram is scaled by the lcm of its denominators (``int_scaled``),
+and its determinant is ``_rational.det_bareiss`` of the result.
 """
 
 import math
 
-from ._rational import qq
+from ._rational import den, num
 
 # ---------------------------------------------------------------------------
 # generic field routines
-
-
-def mat_freeze(m):
-    return tuple(tuple(row) for row in m)
 
 
 def mat_identity(n, one, zero):
@@ -69,106 +67,78 @@ def mat_pow_order(m, one, zero, cap=200):
     return None
 
 
-def _echelon(a, one, zero):
-    """Forward elimination over a field: (rows, pivots, sign).
-
-    rows is a row echelon form of a, reached by row swaps and by adding
-    multiples of a pivot row to the rows below it; row i carries its pivot in
-    column pivots[i], and sign is (-1)^(number of swaps).
-    """
+def rank_field(a, one, zero):
+    """Rank over a field: the number of pivots of a forward elimination."""
     rows = [list(row) for row in a]
     n = len(rows)
-    pivots = []
-    sign = 1
+    rank = 0
     for col in range(len(rows[0]) if rows else 0):
-        top = len(pivots)
-        piv = next((r for r in range(top, n) if rows[r][col] != zero), None)
+        piv = next((r for r in range(rank, n) if rows[r][col] != zero), None)
         if piv is None:
             continue
-        if piv != top:
-            rows[top], rows[piv] = rows[piv], rows[top]
-            sign = -sign
-        inv = one / rows[top][col]
-        for r in range(top + 1, n):
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        inv = one / top[col]
+        for r in range(rank + 1, n):
             if rows[r][col] != zero:
                 f = rows[r][col] * inv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[top])]
-        pivots.append(col)
-        if len(pivots) == n:
+                rows[r] = [x - f * y for x, y in zip(rows[r], top)]
+        rank += 1
+        if rank == n:
             break
-    return rows, pivots, sign
-
-
-def det_field(a, one, zero):
-    # a row echelon form is upper triangular, with a zero last row if singular
-    rows, _pivots, sign = _echelon(a, one, zero)
-    det = one if sign == 1 else -one
-    for i, row in enumerate(rows):
-        det = det * row[i]
-    return det
-
-
-def rank_field(a, one, zero):
-    return len(_echelon(a, one, zero)[1])
-
-
-def mat_inverse(a, one, zero):
-    """Inverse over a field, by elimination on [A | I] and back-substitution;
-    raises on singular input."""
-    n = len(a)
-    rows, pivots, _sign = _echelon(
-        [list(row) + irow for row, irow in zip(a, mat_identity(n, one, zero))], one, zero
-    )
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    for col in reversed(range(n)):
-        inv = one / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(col):
-            if rows[r][col] != zero:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return [row[n:] for row in rows]
+    return rank
 
 
 # ---------------------------------------------------------------------------
-# rational-specific
+# rational matrices on ints
+
+
+def int_scaled(m):
+    """(s, rows): s the lcm of the denominators of a rational or int matrix,
+    and rows = s * m as lists of ints."""
+    s = math.lcm(*(den(x) for row in m for x in row))
+    return s, [[num(x) * (s // den(x)) for x in row] for row in m]
 
 
 def inertia(gram):
-    """(positive, negative, zero) counts for a symmetric rational matrix.
+    """(positive, negative, zero) counts for a symmetric rational or int
+    matrix.
 
-    One symmetric elimination that keeps only its pivots.  A zero pivot with
-    a nonzero row is first made nonzero by the congruence e_i -> e_i +- e_j,
-    so the pivot signs give the inertia of any symmetric form, degenerate or
-    indefinite.
+    A fraction-free symmetric elimination of s * gram (Bareiss): every
+    update divides exactly by the previous pivot, so pivot i is a leading
+    principal minor and its LDL pivot, pivot i / previous pivot, is positive
+    when the two have the same sign.  A zero pivot with a nonzero row is
+    first made nonzero by the congruence e_i -> e_i +- e_j; a zero row is
+    skipped and leaves the divisor as it is.  So the pivot signs give the
+    inertia of any symmetric form, degenerate or indefinite.
     """
     n = len(gram)
-    a = [[qq(x) for x in row] for row in gram]
+    a = int_scaled(gram)[1]
     pos = neg = 0
+    prev = 1
     for i in range(n):
-        if a[i][i] == 0:
-            j = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-            if j is not None:
-                # the new pivot is 2 s a_ij + a_jj, nonzero for one sign s
-                s = 1 if 2 * a[i][j] + a[j][j] != 0 else -1
-                for c in range(i, n):
-                    a[i][c] = a[i][c] + s * a[j][c]
-                for r in range(i, n):
-                    a[r][i] = a[r][i] + s * a[r][j]
-        p = a[i][i]
-        if p == 0:
-            continue  # the whole row is zero: nothing to eliminate
-        if p > 0:
+        ai = a[i]
+        if ai[i] == 0:
+            j = next((j for j in range(i + 1, n) if ai[j]), None)
+            if j is None:
+                continue  # the whole row is zero: nothing to eliminate
+            # the new pivot is 2 s a_ij + a_jj, nonzero for one sign s
+            s = 1 if 2 * ai[j] + a[j][j] else -1
+            aj = a[j]
+            for c in range(i, n):
+                ai[c] += s * aj[c]
+            for r in range(i, n):
+                a[r][i] += s * a[r][j]
+        p = ai[i]
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         for r in range(i + 1, n):
-            f = a[i][r] / p
-            if f:
-                for c in range(r, n):
-                    a[r][c] = a[r][c] - f * a[i][c]
-                    a[c][r] = a[r][c]
+            ar, f = a[r], ai[r]
+            for c in range(r, n):
+                ar[c] = a[c][r] = (p * ar[c] - f * ai[c]) // prev
+        prev = p
     return pos, neg, n - pos - neg
 
 

@@ -69,9 +69,9 @@ class Lattice(Frozen):
         return len(self.gram)
 
     def det(self):
-        if self.rank == 0:
-            return qq(1)
-        return _linalg.det_field(self.gram, qq(1), qq(0))
+        # det(s G) / s^n on ints, s the lcm of the denominators; rank 0 gives 1
+        s, ints = _linalg.int_scaled(self.gram)
+        return qq(det_bareiss(ints), s**self.rank)
 
     def is_integral(self) -> bool:
         return self._integral
@@ -84,9 +84,6 @@ class Lattice(Frozen):
         if null:
             raise ValueError("degenerate form")
         return pos, neg
-
-    def dual_gram(self):
-        return _linalg.mat_freeze(_linalg.mat_inverse(self.gram, qq(1), qq(0)))
 
     def inner(self, u, v):
         s = qq(0)
