@@ -111,7 +111,9 @@ def _freeze(rows) -> tuple:
     return tuple(tuple(qq(x) for x in row) for row in rows)
 
 
-def direct_sum(*lattices: Lattice) -> Lattice:
+def direct_sum(*lattices: Lattice, name: str = None) -> Lattice:
+    """Orthogonal sum, named ``name`` or else by its named summands joined
+    with '+'."""
     n = sum(l.rank for l in lattices)
     rows = [[qq(0)] * n for _ in range(n)]
     off = 0
@@ -120,7 +122,8 @@ def direct_sum(*lattices: Lattice) -> Lattice:
             for j in range(lat.rank):
                 rows[off + i][off + j] = lat.gram[i][j]
         off += lat.rank
-    name = "+".join(l.name for l in lattices if l.name)
+    if name is None:
+        name = "+".join(l.name for l in lattices if l.name)
     return Lattice(_freeze(rows), name=name)
 
 
@@ -178,8 +181,7 @@ def build_standard(name: str) -> Lattice:
     parts = aliases.get(name, name).split("+")
     if not all(p.strip() for p in parts):
         raise ValueError(f"empty summand in {name!r}")
-    lat = direct_sum(*[_parse_token(p) for p in parts])
-    return Lattice(lat.gram, name=name)
+    return direct_sum(*[_parse_token(p) for p in parts], name=name)
 
 
 # ---------------------------------------------------------------------------
