@@ -46,6 +46,14 @@ def test_dual_gram_determinant():
         assert det_field(dual, qq(1), qq(0)) == 1 / lat.det()
 
 
+@pytest.mark.parametrize(
+    "name", ["A2", "E6", "E8", "U(3)", "L_dm", "II_2_18", "II_2_26", "A2(1/3)", "U(2/3)+E6", "0"]
+)
+def test_det_matches_the_field_echelon(name):
+    lat = build_standard(name)
+    assert lat.det() == det_field(lat.gram, qq(1), qq(0))
+
+
 def test_discriminant_groups():
     assert discriminant_group(build_standard("E8")).invariant_factors == ()
     ldm = discriminant_group(build_standard("L_dm"))

@@ -8,13 +8,14 @@ Gram-Schmidt quantity recomputed as a determinant."""
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from field_oracle import det_field, inertia, mat_inverse
+from field_oracle import det_field, mat_inverse
+from field_oracle import inertia as ldl_inertia
 from moduliq import qq
 from moduliq._rational import as_int, det_bareiss
-from moduliq._linalg import lll, mat_identity, mat_mul, mat_transpose, rank_field
+from moduliq._linalg import inertia, lll, mat_identity, mat_mul, mat_transpose, rank_field
 from moduliq.lattices import build_standard
 from moduliq.scalars import CYC_ONE, CYC_ZERO, CycNum
 
@@ -108,6 +109,35 @@ def test_empty_matrix_has_rank_zero():
     assert rank_field([], qq(1), qq(0)) == 0
 
 
+@st.composite
+def symmetric_forms(draw):
+    """A symmetric n x n matrix, n <= 6, of ints and small rationals, many
+    of them zero; in some draws the whole diagonal is zero, and in some a
+    row and its column repeat another, so that the form is degenerate."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.builds(qq, st.integers(-4, 4), st.integers(1, 6)))
+    zero_diagonal = draw(st.booleans())
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + zero_diagonal, n):
+            g[i][j] = g[j][i] = draw(entry)
+    if n > 1 and draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        g[b] = list(g[a])
+        for r in range(n):
+            g[r][b] = g[b][r]
+        g[b][b] = g[a][a]
+    return g
+
+
+@settings(max_examples=300)
+@given(symmetric_forms())
+def test_inertia_matches_the_ldl_reference(g):
+    before = [list(row) for row in g]
+    assert inertia(g) == ldl_inertia(g)
+    assert g == before
+
+
 # ---------------------------------------------------------------------------
 # integral LLL
 
@@ -186,7 +216,7 @@ def symmetric_grams(draw):
 
 @given(symmetric_grams())
 def test_lll_reduces_definite_grams_and_refuses_the_rest(g):
-    if inertia(g) == (len(g), 0, 0):
+    if ldl_inertia(g) == (len(g), 0, 0):
         check_lll(g)
     else:
         with pytest.raises(ValueError, match="^Gram matrix is not positive definite$"):
