@@ -11,7 +11,7 @@ from collections import Counter
 
 from field_oracle import mat_inverse
 from moduliq import qq
-from moduliq._rational import as_int, den, num
+from moduliq._rational import as_int, den, floor_q, num
 from moduliq.lattices import discriminant_group
 
 
@@ -25,18 +25,20 @@ def box_norm_counts(lattice, coset, lowest):
     """{norm: count} over the vectors x of the coset with lowest <= <x, x>.
 
     One box holds them all: x_i^2 <= -lowest * (Q^-1)_ii with Q = -G.  Each
-    box point x = z + c (c the coset lift, z integral) becomes the integer
-    vector y = N x, N the lift denominator, and is bucketed by the integer
-    y G y = N^2 <x, x>.
+    box point x = z + c (c the coset lift reduced mod 1, so 0 <= c_i < 1,
+    and z integral) becomes the integer vector y = N x, N the lift
+    denominator, and is bucketed by the integer y G y = N^2 <x, x>.
     """
     disc = discriminant_group(lattice)
-    center = disc.lift(disc.zero() if coset is None else tuple(coset))
+    lift = disc.lift(disc.zero() if coset is None else tuple(coset))
+    center = [c - floor_q(c) for c in lift]
     n_den = math.lcm(*(den(c) for c in center))
     gram = [[as_int(x) for x in row] for row in lattice.gram]
     qinv = mat_inverse([[-x for x in row] for row in lattice.gram], qq(1), qq(0))
     ranges = []
     for i, c in enumerate(center):
-        bound = floor_sqrt(-qq(lowest) * qinv[i][i]) + abs(int(c)) + 2
+        # |z_i + c_i| <= floor_sqrt(..) = r with 0 <= c_i < 1 gives |z_i| <= r + 1
+        bound = floor_sqrt(-qq(lowest) * qinv[i][i]) + 1
         shift = as_int(n_den * c)
         ranges.append(range(shift - n_den * bound, shift + n_den * bound + 1, n_den))
     terms = [
