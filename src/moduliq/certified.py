@@ -19,6 +19,7 @@ DISCREPANCY = "2/3"
 LEDGER_CONFLICTS = 1
 LEDGER_REPAIR = {"class": "T", "value": "-16"}  # +16T as printed, -16T entailed
 VALUATION_AT_3 = -22
+T9 = "7/103680"  # top self-intersection of the toroidal boundary
 
 # kirwan: lower bounds below which the blow-up series is valid
 MIN_DOUBLE_CODIM = 10

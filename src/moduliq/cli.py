@@ -373,7 +373,8 @@ COMMANDS = (
             "T9": fmt_q(ledger.top_intersection_T9()),
             "component_count": (factors := ledger.top_intersection_factors())[0],
             "top_coefficient": factors[1],
-        }, ["top self-intersection 7/103680 of the toroidal boundary"]),
+        }, [f"top self-intersection {certified.T9} of the toroidal boundary"]),
+        certified=lambda a: {"T9": certified.T9},
     ),
     Command(
         "kequiv", "3-adic K-equivalence obstruction (verification)",

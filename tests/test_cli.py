@@ -294,6 +294,14 @@ def test_kequiv_exit_2(monkeypatch, capsys):
     assert result.outputs["valuation_at_3"] == -21
 
 
+def test_t9_exit_2(monkeypatch, capsys):
+    from moduliq import ledger, qq
+
+    monkeypatch.setattr(ledger, "top_intersection_T9", lambda: qq(7, 103681))
+    result = _certificate_fails(capsys, ["t9"])
+    assert result.outputs["T9"] == "7/103681"
+
+
 def test_ledger_exit_2(monkeypatch, capsys):
     from moduliq import ledger, qq
 
