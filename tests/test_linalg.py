@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from field_oracle import det_field, mat_inverse
-from field_oracle import inertia as ldl_inertia
+from field_oracle import det_field, inertia as ldl_inertia, mat_inverse
 from moduliq import qq
 from moduliq._rational import as_int, det_bareiss
 from moduliq._linalg import inertia, lll, mat_identity, mat_mul, mat_transpose, rank_field
