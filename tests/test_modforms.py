@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import series_oracle
+import weil_oracle
 from numeric_oracle import to_complex
 
 from moduliq import qq
@@ -96,25 +97,47 @@ def test_dual_weil_matrices_match_published_form():
 
 
 def test_unimodular_rep_is_trivial():
-    rep = weil_rep(build_standard("II_2_26"))
+    rep = weil_oracle.full_weil(build_standard("II_2_26"))
     assert rep.dim == 1
     assert rep.mat_t[0][0] == CYC_ONE
     assert rep.mat_s[0][0] == CYC_ONE
 
 
-def test_weil_relations():
+# every exponent-3, square-order lattice the Weil tests name
+WEIL_LATTICES = (
+    "L_dm", "II_2_18", "II_2_26", "E8", "A2+A2+A2+A2", "U+U(3)+U(3)+E8+E8",
+    "E6+E6+A2+A2", "U(3)+U(3)", "U+U(3)+E8+E8+E8",
+)
+
+
+def _assert_sl2_relations(rep):
+    """S^4 = 1 and (ST)^3 = S^2."""
     from moduliq._linalg import mat_eq, mat_identity, mat_mul
 
+    s = [list(r) for r in rep.mat_s]
+    t = [list(r) for r in rep.mat_t]
+    s2 = mat_mul(s, s, CYC_ZERO)
+    s4 = mat_mul(s2, s2, CYC_ZERO)
+    st = mat_mul(s, t, CYC_ZERO)
+    st3 = mat_mul(mat_mul(st, st, CYC_ZERO), st, CYC_ZERO)
+    assert mat_eq(s4, mat_identity(rep.dim, CYC_ONE, CYC_ZERO))
+    assert mat_eq(st3, s2)
+
+
+def test_weil_relations():
     for dual in (False, True):
-        rep = weil_rep(build_standard("L_dm"), dual=dual)
-        s = [list(r) for r in rep.mat_s]
-        t = [list(r) for r in rep.mat_t]
-        s2 = mat_mul(s, s, CYC_ZERO)
-        s4 = mat_mul(s2, s2, CYC_ZERO)
-        st = mat_mul(s, t, CYC_ZERO)
-        st3 = mat_mul(mat_mul(st, st, CYC_ZERO), st, CYC_ZERO)
-        assert mat_eq(s4, mat_identity(rep.dim, CYC_ONE, CYC_ZERO))
-        assert mat_eq(st3, s2)
+        _assert_sl2_relations(weil_oracle.full_weil(build_standard("L_dm"), dual=dual))
+        for name in WEIL_LATTICES:
+            _assert_sl2_relations(weil_rep(build_standard(name), dual=dual).symmetrized())
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("name", WEIL_LATTICES)
+def test_symmetrized_pair_matches_the_full_representation(name, dual):
+    lattice = build_standard(name)
+    sym = weil_rep(lattice, dual=dual).symmetrized()
+    want = weil_oracle.symmetrized(lattice, dual=dual)
+    assert (sym.labels, sym.mat_t, sym.mat_s) == (want.labels, want.mat_t, want.mat_s)
 
 
 def test_weil_rejects_nonsquare_group():
@@ -151,7 +174,7 @@ def test_dimension_formula():
 @pytest.mark.parametrize("k", [6, 10])
 def test_dimension_formula_refuses_an_unsymmetrized_rep(k):
     # on C[A_M], S^2 sends e_g to e_-g, so S^2 = 1 holds on 5 of 9 dimensions
-    rep = weil_rep(build_standard("L_dm"), dual=True)
+    rep = weil_oracle.full_weil(build_standard("L_dm"), dual=True)
     with pytest.raises(ValueError, match=r"5 of 9 .*symmetrized\(\)"):
         vvmf_dimension_report(k, rep)
 
