@@ -13,6 +13,9 @@ SEXTIC_EPSILON5 = -46656  # coefficient of e^5, its unique degree-5 monomial
 SEXTIC_ISOBARIC_WEIGHT = 30
 DISC12_ORDER = 10
 
+# dimension: the weight-10 obstruction space of L_dm, 4 = 2 + 2
+DIMENSION = {"total": 4, "eisenstein": 2, "cusp": 2}
+
 # ledger: the canonical-bundle system and the K-equivalence obstruction
 KIRWAN_EXCEPTIONAL = "4"
 DISCREPANCY = "2/3"

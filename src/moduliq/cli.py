@@ -247,6 +247,11 @@ COMMANDS = (
             "alphas": [fmt_q(x) for x in report.alphas],
         }, [f"obstruction-space dimension ({report.total} = {report.eisenstein} Eisenstein"
             f" + {report.cusp} cusp)"]),
+        certified=lambda a: (
+            certified.DIMENSION
+            if a.weight == 10 and a.lattice.gram == lattices.build_standard("L_dm").gram
+            else {}
+        ),
     ),
     Command(
         "eisenstein", "normalized level-3 Eisenstein series",

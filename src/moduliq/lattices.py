@@ -38,7 +38,7 @@ __all__ = [
 
 CENSUS_LIMIT = 10_000
 ISO_LIMIT = 1_000
-WEIL_LIMIT = 81  # |A_M| for modforms.weil_rep: n x n Q(w) matrices, 81 takes seconds
+PAIRING_LIMIT = 243  # |A_M| for pairing_census: |A_M|^2 pairings, 243 take about 0.3 s
 WALK_LIMIT = 200_000  # leaves of one shortvec walk, counted per level-1 range; about 0.3 s
 
 
@@ -329,10 +329,13 @@ def pairing_census(lattice: Lattice) -> dict:
     """For u, v ranging over type classes: counts of b(u,v) = 0, 1/3, 2/3.
 
     The counts must not depend on the representative u; that uniformity is
-    asserted.  Only defined when all pairing values are thirds.
+    asserted.  Only defined when all pairing values are thirds.  The census
+    makes |A_M|^2 pairings, so |A_M| above PAIRING_LIMIT is refused.
     """
     disc = discriminant_group(lattice)
     groups = elements_by_type(lattice)
+    if disc.order > PAIRING_LIMIT:
+        raise ValueError(f"|A_M| = {disc.order} exceeds PAIRING_LIMIT = {PAIRING_LIMIT}")
     thirds = (qq(0), qq(1, 3), qq(2, 3))
     table = {}
     for ulabel, us in groups.items():

@@ -5,7 +5,9 @@ Scope of the Weil machinery: discriminant groups of exponent dividing 3 and
 square order, which keeps every matrix entry inside Q(w).  The carried
 convention (T diagonal with e^(pi i q), S a scaled character sum) satisfies
 S^4 = 1 and (ST)^3 = S^2 exactly; the dual representation is the entrywise
-conjugate.
+conjugate.  The library holds only the pair on the type classes, read from
+the pairing census of ``lattices``; the full |A_M| x |A_M| matrices on
+C[A_M] live in the test suite's oracle.
 
 The obstruction space for the rank-20 lattice U+U(3)+E8+E8 is spanned by
 one two-parameter Eisenstein family and two cusp forms built from eta
@@ -16,10 +18,11 @@ type-classes of the discriminant group and are returned as exact q-series.
 import math
 from collections import namedtuple
 from functools import lru_cache
+from operator import mul
 
 from . import _linalg
 from ._rational import Frozen, as_int, den, floor_q, fmt_q, is_integer, mod_q, num, qq
-from .lattices import WEIL_LIMIT, Lattice, discriminant_group, elements_by_type
+from .lattices import Lattice, discriminant_group, elements_by_type, pairing_census
 from .qseries import QSeries, check_terms, cutoff, eta_power
 from .scalars import CYC_ONE, CYC_ZERO, OMEGA_POWERS, CycNum, cyc, omega_pow, root_of_unity_6
 from .shortvec import _resolve_coset, coset_norm_counts
@@ -75,15 +78,6 @@ def theta_series(lattice: Lattice, coset, prec) -> QSeries:
 # Weil representation
 
 
-def _e3(x) -> CycNum:
-    """exp(2 pi i x) for a rational x with denominator dividing 3."""
-    x = mod_q(qq(x), qq(1))
-    scaled = x * 3
-    if den(scaled) != 1:
-        raise ValueError(f"exp(2 pi i {x}) is outside Q(w)")
-    return omega_pow(as_int(scaled))
-
-
 class MatrixRep(Frozen):
     """A pair of exact matrices for the standard SL2(Z) generators."""
 
@@ -95,85 +89,63 @@ class MatrixRep(Frozen):
 
 
 class WeilRep(Frozen):
-    """The T and S matrices of the (dual) Weil representation on C[A_M],
-    indexed by the elements of A_M in iteration order."""
+    """The (dual) Weil representation of a lattice.  The library holds only
+    its pair on the type classes (``symmetrized``); the full |A_M| x |A_M|
+    matrices on C[A_M] live in the test suite's oracle."""
 
-    _fields = __slots__ = ("lattice", "dual", "elements", "mat_t", "mat_s")
-
-    @property
-    def dim(self) -> int:
-        return len(self.elements)
+    _fields = __slots__ = ("lattice", "dual")
 
     def symmetrized(self) -> MatrixRep:
         """Restriction to vectors whose coefficients depend only on the type.
 
         Basis: the summed vectors u_t = sum of e_alpha over alpha of type t,
-        ordered by TYPE_ORDER (restricted to the types that occur).
+        ordered by TYPE_ORDER (restricted to the types that occur).  T is
+        e(+-q/2) on the class of norm q.  S[s][t], the u_s coefficient of
+        S u_t, sums e(-+b(beta, alpha)) / sqrt|A_M| over alpha in t for any
+        beta in s, so it is read from the counts of b = 0, 1/3, 2/3 in
+        ``pairing_census``.  Upper signs plain, lower signs dual.
         """
-        disc = discriminant_group(self.lattice)
-        groups = elements_by_type(self.lattice)
-        labels = tuple(t for t in TYPE_ORDER if t in groups)
-        if set(groups) - set(labels):
+        census = pairing_census(self.lattice)
+        present = {s for s, _ in census}
+        labels = tuple(t for t in TYPE_ORDER if t in present)
+        if present - set(labels):
             raise ValueError("unexpected type labels for the symmetrization")
-        index = {el: i for i, el in enumerate(self.elements)}
-        t_diag = []
-        s_rows = []
-        for s_label in labels:
-            beta = groups[s_label][0]
-            t_diag.append(self.mat_t[index[beta]][index[beta]])
-            row = []
-            for t_label in labels:
-                val = CYC_ZERO
-                for alpha in groups[t_label]:
-                    val = val + self.mat_s[index[beta]][index[alpha]]
-                row.append(val)
-            s_rows.append(row)
-        mat_t = tuple(
-            tuple(t_diag[i] if i == j else CYC_ZERO for j in range(len(labels)))
-            for i in range(len(labels))
+        sign = -1 if self.dual else 1
+        t_diag = {}
+        for s in labels:
+            q = qq(0) if s in ("00", "0") else qq(s)
+            t_diag[s] = omega_pow(as_int(sign * 3 * q / 2))  # e(+-q/2), q in {0, 2/3, 4/3}
+        mat_t = tuple(tuple(t_diag[s] if s == t else CYC_ZERO for t in labels) for s in labels)
+        phases = [omega_pow(-sign * k) for k in range(3)]
+        scale = qq(1, math.isqrt(discriminant_group(self.lattice).order))
+        mat_s = tuple(
+            tuple(sum(map(mul, census[s, t], phases), CYC_ZERO) * scale for t in labels)
+            for s in labels
         )
-        return MatrixRep(labels, mat_t, tuple(tuple(r) for r in s_rows))
+        return MatrixRep(labels, mat_t, mat_s)
 
 
 @lru_cache(maxsize=None)
 def weil_rep(lattice: Lattice, dual: bool = False) -> WeilRep:
-    """Exact Weil representation matrices on C[A_M].
+    """The (dual) Weil representation of a supported lattice.
 
     Supported lattices: discriminant group of exponent dividing 3 and square
     order, with (pos - neg)/2 divisible by 4 so the S-matrix scalar is
-    rational; this covers the unimodular lattices and U+U(3)+E8+E8.  The
-    matrices are |A_M| x |A_M|, so |A_M| above WEIL_LIMIT is refused.
+    rational; this covers the unimodular lattices and U+U(3)+E8+E8.  No
+    matrix on all of C[A_M] is built: ``WeilRep.symmetrized`` reads the
+    type-class pair from the pairing census, which bounds |A_M| by
+    PAIRING_LIMIT, and the full matrices live in the test suite's oracle.
     """
     disc = discriminant_group(lattice)
-    order = disc.order
-    if order > WEIL_LIMIT:
-        raise ValueError(f"|A_M| = {order} exceeds WEIL_LIMIT = {WEIL_LIMIT}")
-    root = math.isqrt(order)
-    if root * root != order:
+    root = math.isqrt(disc.order)
+    if root * root != disc.order:
         raise ValueError("S-matrix scalar lies outside Q(w) (non-square |A_M|)")
     if any(d != 3 for d in disc.invariant_factors):
         raise ValueError("only exponent-3 discriminant groups are supported")
     pos, neg = lattice.signature()
     if (pos - neg) % 8 != 0:
         raise ValueError("S-matrix scalar lies outside Q(w) for this signature")
-    elements = tuple(disc.elements())
-    n = len(elements)
-    sign = 1  # i^((pos-neg)/2) with the exponent divisible by 4
-    t_rows = []
-    s_rows = []
-    for i, alpha in enumerate(elements):
-        qv = disc.q(alpha)
-        t_val = _e3(-qv / 2) if dual else _e3(qv / 2)
-        t_rows.append(
-            tuple(t_val if i == j else CYC_ZERO for j in range(n))
-        )
-        row = []
-        for beta in elements:
-            bval = disc.b(alpha, beta)
-            phase = _e3(bval) if dual else _e3(-bval)
-            row.append(phase * qq(sign, root))
-        s_rows.append(tuple(row))
-    return WeilRep(lattice, dual, elements, tuple(t_rows), tuple(s_rows))
+    return WeilRep(lattice, dual)
 
 
 # ---------------------------------------------------------------------------

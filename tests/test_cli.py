@@ -221,12 +221,20 @@ def test_label_needs_two_integers(capsys):
 
 
 def test_weil_work_is_bounded(capsys):
-    # E8(3) has |A_M| = 3^8 = 6561: 6561 x 6561 Q(w) matrices would run for hours
+    # E8(3) has |A_M| = 3^8 = 6561: its pairing census, 6561^2 pairings,
+    # would run for minutes
     for sub in ("weil", "dimension"):
-        assert "WEIL_LIMIT" in _usage_error(capsys, [sub, "--lattice", "E8(3)"])
+        assert "PAIRING_LIMIT" in _usage_error(capsys, [sub, "--lattice", "E8(3)"])
     for name in ("L_dm", "E8", "II_2_18", "II_2_26"):
         for sub in ("weil", "dimension"):
             assert _capture(capsys, [sub, "--lattice", name])[1] == 0
+
+
+def test_pairing_table_is_bounded(capsys):
+    # the type census of E8(3) is quick; its 6561^2 pairings would take minutes
+    assert _capture(capsys, ["lattice", "--name", "E8(3)"])[1] == 0
+    line = _usage_error(capsys, ["lattice", "--name", "E8(3)", "--pairing-table"])
+    assert line == "error: |A_M| = 6561 exceeds PAIRING_LIMIT = 243"
 
 
 def test_census_limit_names_itself(capsys):
@@ -340,6 +348,23 @@ def test_kirwan_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(kirwan, "correction_extra_bound", lambda weights, betas: 4)
     result = _certificate_fails(capsys, ["kirwan"])
     assert result.outputs["extra_term_bound"] == 4
+
+
+def test_dimension_exit_2(monkeypatch, capsys):
+    from moduliq import modforms
+
+    real = modforms.vvmf_dimension_report
+
+    def one_cusp_form_short(k, rep):
+        report = real(k, rep)
+        return report._replace(total=report.total - 1, cusp=report.cusp - 1)
+
+    monkeypatch.setattr(modforms, "vvmf_dimension_report", one_cusp_form_short)
+    result = _certificate_fails(capsys, ["dimension"])
+    assert (result.outputs["total"], result.outputs["eisenstein"], result.outputs["cusp"]) == (3, 2, 1)
+    # the certified value is stated for weight 10 on L_dm only
+    assert run(["dimension", "--weight", "12"])[1] == 0
+    assert run(["dimension", "--lattice", "II_2_18"])[1] == 0
 
 
 def test_borcherds_exit_2(monkeypatch, capsys):
