@@ -38,7 +38,7 @@ __all__ = [
 
 CENSUS_LIMIT = 10_000
 ISO_LIMIT = 1_000
-PAIRING_LIMIT = 243  # |A_M| for pairing_census: |A_M|^2 pairings, 243 take about 0.3 s
+PAIRING_LIMIT = 243  # |A_M| for pairing_census, which makes |A_M|^2 pairings
 WALK_LIMIT = 200_000  # leaves of one shortvec walk, counted per level-1 range; about 0.3 s
 
 
