@@ -16,7 +16,7 @@ BERNOULLI = {2: qq(1, 6), 6: qq(1, 42), 10: qq(5, 66)}
 
 def as_dict(series):
     """(exponent dict of Cyc coefficients, trunc) of a QSeries."""
-    return {qq(k, series.n_den): ref(c) for k, c in series.terms}, series.trunc
+    return {e: ref(series.coeff(e)) for e in series.exponents()}, series.trunc
 
 
 def well_formed(s):

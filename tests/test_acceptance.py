@@ -305,9 +305,9 @@ def test_criterion_14_property_suites():
         for label in ((1, 0), (0, 1)):
             series = eisenstein_level3(k, label, 6)
             val = 0j
-            for kk, coeff in series.terms:
-                val += to_complex(coeff) * cmath.exp(
-                    2j * cmath.pi * tau * kk / 3
+            for e in series.exponents():
+                val += to_complex(series.coeff(e)) * cmath.exp(
+                    2j * cmath.pi * tau * int(e.numerator) / int(e.denominator)
                 )
             expected = c_k * val
             got = 0j
