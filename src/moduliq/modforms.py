@@ -24,7 +24,7 @@ from . import _linalg
 from ._rational import Frozen, as_int, den, floor_q, fmt_q, is_integer, mod_q, num, qq
 from .lattices import Lattice, discriminant_group, elements_by_type, pairing_census
 from .qseries import QSeries, check_terms, cutoff, eta_power
-from .scalars import CYC_ONE, CYC_ZERO, OMEGA_POWERS, CycNum, cyc, omega_pow, root_of_unity_6
+from .scalars import CYC_ONE, CYC_ZERO, OMEGA_POWERS, cyc, omega_pow, root_of_unity_6
 from .shortvec import _resolve_coset, coset_norm_counts
 
 __all__ = [
@@ -253,15 +253,18 @@ def eisenstein_level3(k: int, label, prec) -> QSeries:
     if (a1, a2) == (0, 0):
         raise ValueError("label (0,0) is not supported")
     prec = qq(prec)
-    # divisor sieve on int pairs x + y w: each d adds d^(k-1) w^(a2 d) to the
-    # n = d * quot with quot = a1 mod 3 and d^(k-1) w^(-a2 d) to those with
-    # quot = -a1 mod 3, stepping 3d through them; (-1)^k = 1 for even k.  For
-    # a1 = 0 both land on n = 3d, 6d, ..., so their sum is added once.
+    # divisor sieve on int pairs x + y w over d, the denominator of the
+    # constant term: each dd adds d dd^(k-1) w^(+-a2 dd) to the n = dd * quot
+    # with quot = +-a1 mod 3, stepping 3dd through them; (-1)^k = 1 for even
+    # k.  For a1 = 0 both land on n = 3dd, 6dd, ..., so their sum is added once.
     size = check_terms(cutoff(prec, 3))
     pairs = [(w.x, w.y) for w in OMEGA_POWERS]  # w^0, w^1, w^2 with w.d = 1
-    re, im = [0] * size, [0] * size
+    d, re, im = 1, [0] * size, [0] * size
+    if a1 == 0 and size > 0:
+        c0 = -bernoulli(k) * (3**k - 1) / (2 * k)
+        d, re[0] = den(c0), num(c0)
     for dd in range(1, size if a1 else -(-size // 3)):
-        power, step = dd ** (k - 1), 3 * dd
+        power, step = d * dd ** (k - 1), 3 * dd
         x, y = pairs[a2 * dd % 3]
         u, v = pairs[-a2 * dd % 3]
         if a1 == 0:
@@ -275,11 +278,7 @@ def eisenstein_level3(k: int, label, prec) -> QSeries:
             for n in range(dd * (3 - a1), size, step):
                 re[n] += u
                 im[n] += v
-    terms = [(n, CycNum.of(re[n], im[n])) for n in range(1, size) if re[n] or im[n]]
-    if a1 == 0 and size > 0:
-        b = bernoulli(k)
-        terms.insert(0, (0, CycNum.of(-num(b) * (3**k - 1), 0, 2 * k * den(b))))
-    return QSeries(3, tuple(terms), prec)
+    return QSeries(3, d, tuple((n, re[n], im[n]) for n in range(size) if re[n] or im[n]), prec)
 
 
 # ---------------------------------------------------------------------------

@@ -3,21 +3,15 @@
 Every series carries its truncation order; arithmetic propagates the
 jointly-known range, so a coefficient beyond the known range raises instead
 of silently reading zero.  Exponents are stored as integer keys k meaning
-q^(k/N) on a fixed grid N.
+q^(k/N) on a fixed grid N, and coefficients as Python int pairs (x, y)
+meaning (x + y w) / d over one common denominator d (Cohen, GTM 138, 4.2),
+which the constructor keeps in lowest terms.  Every kernel loops on those
+ints with w^2 = -1 - w; ``make`` reads coefficients once, and ``coeff``,
+``leading`` and ``__str__`` build a ``CycNum`` on the way out.
 
 Powers, inverses and eta products all come from one recurrence in
 ``QSeries.pow``: J.C.P. Miller's power formula (Knuth, TAOCP vol. 2, 4.7).
-
-The convolutions ``__mul__`` and ``pow`` run on Python int pairs (x, y)
-meaning (x + y w) / D over one common denominator D, read from the
-``CycNum`` triples: the loop uses w^2 = -1 - w, and each output coefficient
-is one ``CycNum.of`` triple, reduced by one gcd.  In ``pow`` the denominator
-rolls: it grows only at a step whose division is not exact, and stays 1 for
-an integral series with a unit leading coefficient.  ``scale`` and
-``__add__`` (hence ``__sub__``, ``__radd__`` and division by a scalar) do
-one ``CycNum`` operation per coefficient.  ``truncate`` slices the sorted
-terms and ``coeff`` finds its key with int arithmetic.
-
+Its denominator rolls: it grows only at a step whose division is not exact.
 No kernel computes more than ``TERM_LIMIT`` coefficients, so a precision
 that would take hours is refused at once.
 """
@@ -26,7 +20,7 @@ import bisect
 import math
 
 from ._rational import Frozen, as_int, den, fmt_q, num, qq
-from .scalars import CYC_ONE, CYC_ZERO, CycNum, cyc, int_pairs
+from .scalars import CYC_ONE, CYC_ZERO, CycNum, cyc
 
 __all__ = [
     "QSeries", "PrecisionError", "TERM_LIMIT", "eta_power", "delta_series", "inverse_delta",
@@ -56,16 +50,35 @@ def _key(term) -> int:
     return term[0]
 
 
-class QSeries(Frozen):
-    # n_den: exponent grid q^(k / n_den); terms: sorted tuple of (k, CycNum),
-    # no zero coefficients; trunc: rational, exponents >= trunc are unknown
-    _fields = __slots__ = ("n_den", "terms", "trunc")
+def _coords(c) -> tuple:
+    """(x, y, d) with c = (x + y w) / d, for an int, a rational or a CycNum."""
+    if type(c) is int:
+        return c, 0, 1
+    if isinstance(c, CycNum):
+        return c.x, c.y, c.d
+    c = qq(c)
+    return num(c), 0, den(c)
 
-    def __init__(self, n_den: int, terms: tuple, trunc):
-        # every kernel builds its result here: three direct slot writes
-        # instead of Frozen's loop
+
+class QSeries(Frozen):
+    # n_den: exponent grid q^(k / n_den); d > 0: common denominator; terms:
+    # sorted tuple of (k, x, y) for the coefficient (x + y w) / d, no zero
+    # coefficients; trunc: rational, exponents >= trunc are unknown
+    _fields = __slots__ = ("n_den", "d", "terms", "trunc")
+
+    def __init__(self, n_den: int, d: int, terms: tuple, trunc):
+        # every kernel builds its result here: one gcd puts it in lowest terms
+        g = d
+        for _, x, y in terms:
+            if g == 1:
+                break
+            g = math.gcd(g, x, y)
+        if g != 1:
+            d //= g
+            terms = tuple((k, x // g, y // g) for k, x, y in terms)
         init = object.__setattr__
         init(self, "n_den", n_den)
+        init(self, "d", d)
         init(self, "terms", terms)
         init(self, "trunc", trunc)
 
@@ -75,13 +88,10 @@ class QSeries(Frozen):
     def make(n_den: int, coeffs: dict, trunc) -> "QSeries":
         trunc = qq(trunc)
         limit = cutoff(trunc, n_den)
-        items = []
-        for k, c in coeffs.items():
-            c = cyc(c)
-            if k < limit and not c.is_zero():
-                items.append((k, c))
-        items.sort(key=lambda kv: kv[0])
-        return QSeries(n_den, tuple(items), trunc)
+        items = sorted(((k, _coords(c)) for k, c in coeffs.items() if k < limit), key=_key)
+        d = math.lcm(*(c[2] for _, c in items))
+        terms = tuple((k, x * (d // e), y * (d // e)) for k, (x, y, e) in items if x or y)
+        return QSeries(n_den, d, terms, trunc)
 
     @staticmethod
     def zero(trunc, n_den: int = 1) -> "QSeries":
@@ -89,29 +99,27 @@ class QSeries(Frozen):
 
     @staticmethod
     def one(trunc) -> "QSeries":
-        return QSeries.make(1, {0: CYC_ONE}, trunc)
+        return QSeries.make(1, {0: 1}, trunc)
 
     @staticmethod
     def monomial(coeff, exponent, trunc) -> "QSeries":
         e = qq(exponent)
-        n_den = den(e)
-        return QSeries.make(n_den, {num(e): cyc(coeff)}, trunc)
+        return QSeries.make(den(e), {num(e): coeff}, trunc)
 
     # -- basics ------------------------------------------------------------
 
     def exponents(self):
-        return [qq(k, self.n_den) for k, _ in self.terms]
+        return [qq(k, self.n_den) for k, _, _ in self.terms]
 
     def leading(self):
         """(exponent, coefficient) of the lowest-order known term, or None."""
         if not self.terms:
             return None
-        k, c = self.terms[0]
-        return qq(k, self.n_den), c
+        k, x, y = self.terms[0]
+        return qq(k, self.n_den), CycNum.of(x, y, self.d)
 
     def leading_exponent(self):
-        lead = self.leading()
-        return lead[0] if lead is not None else self.trunc
+        return qq(self.terms[0][0], self.n_den) if self.terms else self.trunc
 
     def coeff(self, exponent) -> CycNum:
         e = qq(exponent)
@@ -125,12 +133,8 @@ class QSeries(Frozen):
         k = num(e) * (self.n_den // den(e))
         i = bisect.bisect_left(self.terms, k, key=_key)
         if i < len(self.terms) and self.terms[i][0] == k:
-            return self.terms[i][1]
+            return CycNum.of(*self.terms[i][1:], self.d)
         return CYC_ZERO
-
-    def _regrid(self, n_den: int) -> dict:
-        f = n_den // self.n_den
-        return {k * f: c for k, c in self.terms}
 
     def _below(self, trunc) -> tuple:
         """The terms with exponent below trunc."""
@@ -142,50 +146,47 @@ class QSeries(Frozen):
         if not isinstance(other, QSeries):
             other = QSeries.monomial(other, 0, self.trunc)
         n = math.lcm(self.n_den, other.n_den)
+        d = math.lcm(self.d, other.d)
         trunc = min(self.trunc, other.trunc)
         out = {}
         for series in (self, other):
-            f = n // series.n_den
-            for k, c in series._below(trunc):
+            f, g = n // series.n_den, d // series.d
+            for k, x, y in series._below(trunc):
                 k *= f
-                out[k] = out[k] + c if k in out else c
-        terms = sorted((kc for kc in out.items() if not kc[1].is_zero()), key=_key)
-        return QSeries(n, tuple(terms), trunc)
+                p, q = out.get(k, (0, 0))
+                out[k] = (p + x * g, q + y * g)
+        terms = tuple((k, x, y) for k, (x, y) in sorted(out.items()) if x or y)
+        return QSeries(n, d, terms, trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries(self.n_den, tuple((k, -c) for k, c in self.terms), self.trunc)
+        return QSeries(self.n_den, self.d, tuple((k, -x, -y) for k, x, y in self.terms), self.trunc)
 
     def __sub__(self, other):
-        if not isinstance(other, QSeries):
-            other = QSeries.monomial(other, 0, self.trunc)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scale(self, c) -> "QSeries":
-        c = cyc(c)
-        if c.is_zero():
+        u, v, e = _coords(c)
+        if not (u or v):
             return QSeries.zero(self.trunc, self.n_den)
-        return QSeries(self.n_den, tuple((k, x * c) for k, x in self.terms), self.trunc)
+        # (x + y w)(u + v w) = (xu - yv) + (xv + yu - yv) w
+        terms = tuple((k, x * u - y * v, x * v + y * u - y * v) for k, x, y in self.terms)
+        return QSeries(self.n_den, self.d * e, terms, self.trunc)
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
             return self.scale(other)
         n = math.lcm(self.n_den, other.n_den)
         fa, fb = n // self.n_den, n // other.n_den
-        trunc = min(
-            self.trunc + other.leading_exponent(),
-            other.trunc + self.leading_exponent(),
-        )
+        trunc = min(self.trunc + other.leading_exponent(), other.trunc + self.leading_exponent())
         limit = cutoff(trunc, n)
-        da, pa = int_pairs(self.terms)
-        db, pb = int_pairs(other.terms)
-        pb = [(kb * fb, xb, yb) for kb, xb, yb in pb]
+        pb = [(kb * fb, xb, yb) for kb, xb, yb in other.terms]
         re, im = {}, {}
-        for ka, xa, ya in pa:
+        for ka, xa, ya in self.terms:
             ka *= fa
             for kb, xb, yb in pb:
                 k = ka + kb
@@ -195,9 +196,8 @@ class QSeries(Frozen):
                 yy = ya * yb
                 re[k] = re.get(k, 0) + xa * xb - yy
                 im[k] = im.get(k, 0) + xa * yb + ya * xb - yy
-        d = da * db
-        terms = tuple((k, CycNum.of(x, im[k], d)) for k, x in sorted(re.items()) if x or im[k])
-        return QSeries(n, terms, trunc)
+        terms = tuple((k, x, im[k]) for k, x in sorted(re.items()) if x or im[k])
+        return QSeries(n, self.d * other.d, terms, trunc)
 
     __rmul__ = __mul__
 
@@ -205,18 +205,15 @@ class QSeries(Frozen):
         """Multiply by q^exponent."""
         e = qq(exponent)
         n = math.lcm(self.n_den, den(e))
-        k0 = as_int(e * n)
-        return QSeries(
-            n,
-            tuple((k * (n // self.n_den) + k0, c) for k, c in self.terms),
-            self.trunc + e,
-        )
+        f, k0 = n // self.n_den, as_int(e * n)
+        terms = tuple((k * f + k0, x, y) for k, x, y in self.terms)
+        return QSeries(n, self.d, terms, self.trunc + e)
 
     def truncate(self, trunc) -> "QSeries":
         trunc = qq(trunc)
         if trunc > self.trunc:
             raise PrecisionError("cannot extend a truncated series")
-        return QSeries(self.n_den, self._below(trunc), trunc)
+        return QSeries(self.n_den, self.d, self._below(trunc), trunc)
 
     def pow(self, m: int) -> "QSeries":
         """self^m for every integer m; m <= 0 needs a nonzero series.
@@ -232,11 +229,14 @@ class QSeries(Frozen):
             return QSeries.zero(m * self.trunc, self.n_den)
         if m == 0:
             return QSeries.one(self.trunc)
-        k0, c = self.terms[0]
+        k0, x0, y0 = self.terms[0]
         e = qq(k0, self.n_den)
-        c_inv = c.inverse()
-        d, v = int_pairs([(k - k0, ck * c_inv) for k, ck in self.terms[1:]])
-        v = [(k, (m + 1) * k, x, y) for k, x, y in v]
+        # v_k = (x + y w) / (x0 + y0 w) = (x + y w)(a + b w) / d with a + b w
+        # = (x0 - y0) - y0 w the conjugate of x0 + y0 w and d its norm, so
+        # the series' own denominator cancels
+        a, b, d = x0 - y0, -y0, x0 * x0 - x0 * y0 + y0 * y0
+        v = [(k - k0, (m + 1) * (k - k0), x * a - y * b, x * b + y * a - y * b)
+             for k, x, y in self.terms[1:]]
         # W_n = (p_n + q_n w) / big_d with W_0 = 1
         w = [(1, 0)]
         big_d = 1
@@ -259,14 +259,14 @@ class QSeries(Frozen):
                 big_d *= f
                 w = [(p * f, q * f) for p, q in w]
             w.append((sa // g, sb // g))
-        cm = c**m
-        cx, cy, d = cm.x, cm.y, cm.d * big_d
+        cm = CycNum.of(x0, y0, self.d) ** m
+        cx, cy = cm.x, cm.y
         terms = tuple(
-            (n + m * k0, CycNum.of(cx * p - cy * q, cx * q + cy * p - cy * q, d))
+            (n + m * k0, cx * p - cy * q, cx * q + cy * p - cy * q)
             for n, (p, q) in enumerate(w)
             if p or q
         )
-        return QSeries(self.n_den, terms, self.trunc + (m - 1) * e)
+        return QSeries(self.n_den, cm.d * big_d, terms, self.trunc + (m - 1) * e)
 
     def invert(self) -> "QSeries":
         """Two-sided inverse up to truncation; leading coefficient must be a unit."""
@@ -280,11 +280,16 @@ class QSeries(Frozen):
     # -- comparison on jointly-known range ----------------------------------
 
     def agrees_with(self, other: "QSeries") -> bool:
+        """Equal coefficients below both truncations: the keys on the common
+        grid and the coordinates cross-multiplied by the other denominator."""
         n = math.lcm(self.n_den, other.n_den)
         limit = cutoff(min(self.trunc, other.trunc), n)
-        a = {k: c for k, c in self._regrid(n).items() if k < limit}
-        b = {k: c for k, c in other._regrid(n).items() if k < limit}
-        return a == b
+
+        def common(a, b):
+            f = n // a.n_den
+            return [(k * f, x * b.d, y * b.d) for k, x, y in a.terms if k * f < limit]
+
+        return common(self, other) == common(other, self)
 
     # -- rendering -----------------------------------------------------------
 
@@ -292,26 +297,21 @@ class QSeries(Frozen):
         if not self.terms:
             return "0"
         parts = []
-        for k, c in self.terms:
+        for k, x, y in self.terms:
+            c = CycNum.of(x, y, self.d)
             e = qq(k, self.n_den)
             cs = str(c) if c.is_rational() else f"({c})"
             if e == 0:
                 parts.append(cs)
+                continue
+            if e == 1:
+                qs = "q"
+            elif den(e) == 1 and e > 0:
+                qs = f"q^{fmt_q(e)}"
             else:
-                if e == 1:
-                    qs = "q"
-                elif den(e) == 1 and e > 0:
-                    qs = f"q^{fmt_q(e)}"
-                else:
-                    qs = f"q^({fmt_q(e)})"
-                if cs == "1":
-                    parts.append(qs)
-                elif cs == "-1":
-                    parts.append(f"-{qs}")
-                else:
-                    parts.append(f"{cs}*{qs}")
-        rendered = " + ".join(parts).replace("+ -", "- ")
-        return rendered
+                qs = f"q^({fmt_q(e)})"
+            parts.append({"1": qs, "-1": f"-{qs}"}.get(cs, f"{cs}*{qs}"))
+        return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
 

@@ -8,6 +8,8 @@ the int-pair kernels of ``moduliq.qseries`` and ``moduliq.modforms`` or with
 no divisor sieve.
 """
 
+import math
+
 from cyc_oracle import OMEGA, ONE, ZERO, ref
 from moduliq import qq
 
@@ -21,13 +23,16 @@ def as_dict(series):
 
 def well_formed(s):
     """True when a QSeries keeps its invariants: keys strictly increase, no
-    coefficient is zero, and every key k lies below the truncation
-    (k / n_den < trunc, which is k < cutoff(trunc, n_den) for an int k)."""
-    keys = [k for k, _ in s.terms]
+    coefficient (x + y w) / d is zero, every key k lies below the truncation
+    (k / n_den < trunc, which is k < cutoff(trunc, n_den) for an int k), and
+    the common denominator d is positive and coprime to the coordinates."""
+    keys = [k for k, _, _ in s.terms]
     return (
         all(a < b for a, b in zip(keys, keys[1:]))
-        and not any(c.is_zero() for _, c in s.terms)
+        and not any(x == 0 and y == 0 for _, x, y in s.terms)
         and all(qq(k, s.n_den) < s.trunc for k in keys)
+        and s.d > 0
+        and math.gcd(s.d, *(v for _, x, y in s.terms for v in (x, y))) == 1
     )
 
 
