@@ -275,6 +275,19 @@ def test_pow_of_zero_series():
             zero.pow(m)
 
 
+def test_equal_values_have_equal_fields_and_hashes():
+    # the constructor reduces the common denominator of the coefficients by
+    # one gcd, so == and hash see the value, not the way it was computed
+    cut = QSeries.make(1, {0: 1, 1: qq(1, 2)}, 2).truncate(1)
+    assert cut == QSeries.one(1)
+    assert hash(cut) == hash(QSeries.one(1))
+    s = QSeries.make(3, {-1: qq(1, 6), 0: CycNum(qq(1, 2), qq(-1, 3)), 2: OMEGA}, 5)
+    assert math.lcm(*(s.coeff(e).d for e in s.exponents())) == 6
+    zero = s + (-s)
+    assert zero == QSeries.zero(s.trunc, s.n_den)
+    assert hash(zero) == hash(QSeries.zero(s.trunc, s.n_den))
+
+
 def test_eta_power_product_identity():
     lhs = eta_power(8, 5) * eta_power(16, 5)
     assert lhs.agrees_with(delta_series(5))
