@@ -28,5 +28,11 @@ T9 = "7/103680"  # top self-intersection of the toroidal boundary
 MIN_DOUBLE_CODIM = 10
 EXTRA_TERM_BOUND = 5
 
-# borcherds: the divisor of the product built from the theta*theta/Delta input
+# kirwan: the even Betti numbers of the Kirwan blow-up and of the toroidal
+# compactification, which agree
+BETTI_TABLE = [1, 2, 3, 4, 5, 5, 4, 3, 2, 1]
+
+# borcherds: the product built from the theta*theta/Delta input, its weight
+# and divisor
+MA_WEIGHT = "51"
 MA_DIVISOR = {("00", "-2"): 1, ("4/3", "-2/3"): 27, ("2/3", "-4/3"): 3}

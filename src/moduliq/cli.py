@@ -297,9 +297,11 @@ COMMANDS = (
                 "weight": fmt_q(cert.weight) if cert.exists else None,
             }} if a.input == "ma" else {}),
         }, ["product weight and divisor via lift and pairing routes"]),
-        # computed cross-check: the pairing route reproduces the lift's weight
+        # the certified weight, and a computed cross-check: the pairing route
+        # reproduces the lift's weight
         certified=lambda a: {
-            "certificate": lambda cert, out: cert == {"exists": True, "weight": out["weight"]}
+            "weight": certified.MA_WEIGHT,
+            "certificate": lambda cert, out: cert == {"exists": True, "weight": out["weight"]},
         } if a.input == "ma" else {},
     ),
     Command(
@@ -344,6 +346,7 @@ COMMANDS = (
             {"table": list(BETTI_TABLES[a.space]().even())},
             [kirwan.REFERENCE_CITATIONS.get(a.space, f"Betti table of {a.space}")],
         ),
+        certified=lambda a: {"table": certified.BETTI_TABLE} if a.space in ("MK", "tor") else {},
     ),
     Command(
         "ledger", "canonical-bundle ledger (verification)",

@@ -378,6 +378,36 @@ def test_borcherds_exit_2(monkeypatch, capsys):
     assert result.outputs["weight"] == "51"
 
 
+def test_borcherds_exit_2_on_the_lift_weight(monkeypatch, capsys):
+    from moduliq import borcherds, qq
+
+    # a lift of weight 50 whose pairing route agrees: only the certified
+    # weight can catch it
+    real = borcherds.lift_weight_divisor
+    monkeypatch.setattr(borcherds, "lift_weight_divisor", lambda form: (qq(50), real(form)[1]))
+    monkeypatch.setattr(
+        borcherds, "product_existence", lambda combo: borcherds.ProductCertificate(True, qq(50), ())
+    )
+    result, code = run(["borcherds", "--input", "ma", "--json"])
+    assert code == 2
+    assert capsys.readouterr().err == "certified value missed: weight = 50\n"
+    assert result.outputs["certificate"] == {"exists": True, "weight": "50"}
+    # the certified weight is stated for the ma input only
+    assert run(["borcherds", "--input", "delta"])[1] == 0
+
+
+@pytest.mark.parametrize("space, table", [("MK", "kirwan_blowup_table"), ("tor", "toroidal_table")])
+def test_betti_exit_2(monkeypatch, capsys, space, table):
+    from moduliq import kirwan
+
+    short = kirwan.BettiTable.from_even((1, 2, 3, 4, 5, 4, 3, 2, 1))
+    monkeypatch.setattr(kirwan, table, lambda: short)
+    result = _certificate_fails(capsys, ["betti", "--space", space])
+    assert result.outputs["table"] == [1, 2, 3, 4, 5, 4, 3, 2, 1]
+    # the certified table is stated for MK and tor only
+    assert run(["betti", "--space", "boundary"])[1] == 0
+
+
 _PRECS = st.one_of(
     st.text(max_size=8),
     st.from_regex(r"-?[0-9]{1,2}(/-?[0-9]{1,2}|\.[0-9]+)?", fullmatch=True),
