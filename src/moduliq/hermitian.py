@@ -8,11 +8,12 @@ of the Gram matrix, read from the ``CycNum`` triples, with w^2 = -1 - w;
 each output entry becomes one rational or one ``CycNum.of`` triple.
 """
 
+import math
 from collections import namedtuple
 
 from ._rational import Frozen, qq
 from .lattices import Lattice
-from .scalars import CYC_ONE, CYC_ZERO, OMEGA, SQRT_M3, CycNum, cyc, int_pairs
+from .scalars import CYC_ONE, CYC_ZERO, OMEGA, SQRT_M3, CycNum, cyc
 
 __all__ = [
     "HermLattice",
@@ -49,10 +50,9 @@ class HermLattice(Frozen):
 
 def _pair_rows(gram):
     """(D, rows) with gram[i][j] = (x + y w) / D for the int pair (x, y) at
-    rows[i][j]."""
-    d, flat = int_pairs([(None, c) for row in gram for c in row])
-    n = len(gram)
-    return d, [[(x, y) for _k, x, y in flat[i * n : (i + 1) * n]] for i in range(n)]
+    rows[i][j], over the one common denominator D."""
+    d = math.lcm(*(c.d for row in gram for c in row))
+    return d, [[(c.x * (d // c.d), c.y * (d // c.d)) for c in row] for row in gram]
 
 
 def _pair_mul(u, v):

@@ -18,7 +18,6 @@ __all__ = [
     "OMEGA_POWERS",
     "SQRT_M3",
     "cyc",
-    "int_pairs",
     "omega_pow",
     "root_of_unity_6",
     "QQ",
@@ -157,13 +156,6 @@ def _operand(x):
     if isinstance(x, (int, Fraction, QQ)):
         return CycNum.of(num(x), 0, den(x))
     return None
-
-
-def int_pairs(terms):
-    """(D, [(k, x, y), ...]) for (k, c) terms, with each c = (x + y w) / D
-    over one common denominator D: the ints the exact kernels loop on."""
-    d = math.lcm(*(c.d for _, c in terms))
-    return d, [(k, c.x * (d // c.d), c.y * (d // c.d)) for k, c in terms]
 
 
 def cyc(x) -> CycNum:
