@@ -6,6 +6,7 @@ and the integral LLL against its defining conditions, with every
 Gram-Schmidt quantity recomputed as a determinant."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from field_oracle import det_field, inertia as ldl_inertia, mat_inverse
 from moduliq import qq
-from moduliq._rational import as_int, det_bareiss
+from moduliq._rational import as_int, den, det_bareiss
 from moduliq._linalg import inertia, lll, mat_identity, mat_mul, mat_transpose, rank_field
 from moduliq.lattices import build_standard
 from moduliq.scalars import CYC_ONE, CYC_ZERO, CycNum
@@ -132,9 +133,13 @@ def symmetric_forms(draw):
 @settings(max_examples=300)
 @given(symmetric_forms())
 def test_inertia_matches_the_ldl_reference(g):
-    before = [list(row) for row in g]
-    assert inertia(g) == ldl_inertia(g)
-    assert g == before
+    # inertia reads an int matrix: the draw times the lcm s > 0 of its
+    # denominators, which has the draw's inertia
+    s = math.lcm(*(den(x) for row in g for x in row))
+    ints = [[as_int(x * s) for x in row] for row in g]
+    before = [list(row) for row in ints]
+    assert inertia(ints) == ldl_inertia(g)
+    assert ints == before
 
 
 # ---------------------------------------------------------------------------
