@@ -6,14 +6,12 @@ reduces and reads its Gram-Schmidt pivots from, and Smith/Hermite forms.
 Matrices are tuples of tuples (immutable) or lists of lists (work buffers).
 The field routines are generic over any type supporting +,-,*,/ and == 0
 comparison through the supplied zero/one samples, so they serve both the
-rational backend and Q(w).  Lattice invariants are computed on ints: a
-rational Gram is scaled by the lcm of its denominators (``int_scaled``),
-and its determinant is ``_rational.det_bareiss`` of the result.
+rational backend and Q(w).  Lattice invariants are computed on ints: the
+elimination, the LLL and the Smith form read the int Gram that
+``lattices.Lattice`` stores, s * G with s the lcm of G's denominators.
 """
 
 import math
-
-from ._rational import den, num
 
 # ---------------------------------------------------------------------------
 # generic field routines
@@ -90,21 +88,13 @@ def rank_field(a, one, zero):
 
 
 # ---------------------------------------------------------------------------
-# rational matrices on ints
-
-
-def int_scaled(m):
-    """(s, rows): s the lcm of the denominators of a rational or int matrix,
-    and rows = s * m as lists of ints."""
-    s = math.lcm(*(den(x) for row in m for x in row))
-    return s, [[num(x) * (s // den(x)) for x in row] for row in m]
+# integer routines
 
 
 def inertia(gram):
-    """(positive, negative, zero) counts for a symmetric rational or int
-    matrix.
+    """(positive, negative, zero) counts for a symmetric int matrix.
 
-    A fraction-free symmetric elimination of s * gram (Bareiss): every
+    A fraction-free symmetric elimination of a copy of gram (Bareiss): every
     update divides exactly by the previous pivot, so pivot i is a leading
     principal minor and its LDL pivot, pivot i / previous pivot, is positive
     when the two have the same sign.  A zero pivot with a nonzero row is
@@ -113,7 +103,7 @@ def inertia(gram):
     inertia of any symmetric form, degenerate or indefinite.
     """
     n = len(gram)
-    a = int_scaled(gram)[1]
+    a = [list(row) for row in gram]
     pos = neg = 0
     prev = 1
     for i in range(n):
@@ -140,10 +130,6 @@ def inertia(gram):
                 ar[c] = a[c][r] = (p * ar[c] - f * ai[c]) // prev
         prev = p
     return pos, neg, n - pos - neg
-
-
-# ---------------------------------------------------------------------------
-# integer routines
 
 
 def lll(gram):

@@ -43,17 +43,29 @@ WALK_LIMIT = 200_000  # leaves of one shortvec walk, counted per level-1 range; 
 
 
 class Lattice(Frozen):
-    """A Gram matrix (tuple of tuples of rationals) and an optional name."""
+    """A Gram matrix (tuple of tuples of rationals) and an optional name.
+
+    The constructor also stores the one int Gram that every int kernel
+    reads: ``gram_scale`` is the lcm s of the Gram's denominators and
+    ``int_gram`` is s * gram, a tuple of tuples of Python ints.  The
+    determinant, the signature, the discriminant group and the short-vector
+    walk all read ``int_gram``.  Both are derived from the Gram, so ``==``,
+    ``hash`` and ``repr`` read only gram and name.
+    """
 
     _fields = ("gram", "name")
-    __slots__ = _fields + ("_hash", "_integral", "_even")
+    __slots__ = _fields + ("_hash", "gram_scale", "int_gram")
 
     def __init__(self, gram: tuple, name: str = ""):
         super().__init__(gram, name)
-        integral = all(x.denominator == 1 for row in gram for x in row)
-        even = integral and all(num(row[i]) % 2 == 0 for i, row in enumerate(gram))
-        object.__setattr__(self, "_integral", integral)
-        object.__setattr__(self, "_even", even)
+        s = math.lcm(*[x.denominator for row in gram for x in row])
+        if s == 1:
+            # the usual, integral case reads the numerators alone
+            ints = tuple([tuple(map(num, row)) for row in gram])
+        else:
+            ints = tuple([tuple([num(x) * (s // den(x)) for x in row]) for row in gram])
+        object.__setattr__(self, "gram_scale", s)
+        object.__setattr__(self, "int_gram", ints)
 
     def __hash__(self):
         # computed once: each lru_cache lookup hashes its key, and hashing the
@@ -69,18 +81,17 @@ class Lattice(Frozen):
         return len(self.gram)
 
     def det(self):
-        # det(s G) / s^n on ints, s the lcm of the denominators; rank 0 gives 1
-        s, ints = _linalg.int_scaled(self.gram)
-        return qq(det_bareiss(ints), s**self.rank)
+        # det(s G) / s^n on ints; rank 0 gives 1
+        return qq(det_bareiss(self.int_gram), self.gram_scale**self.rank)
 
     def is_integral(self) -> bool:
-        return self._integral
+        return self.gram_scale == 1
 
     def is_even(self) -> bool:
-        return self._even
+        return self.gram_scale == 1 and all(row[i] % 2 == 0 for i, row in enumerate(self.int_gram))
 
     def signature(self):
-        pos, neg, null = _linalg.inertia(self.gram)
+        pos, neg, null = _linalg.inertia(self.int_gram)
         if null:
             raise ValueError("degenerate form")
         return pos, neg
@@ -286,11 +297,10 @@ def discriminant_group(lattice: Lattice) -> DiscGroup:
     if not lattice.is_integral():
         raise ValueError("discriminant group needs an integral lattice")
     n = lattice.rank
-    g_int = [[as_int(x) for x in row] for row in lattice.gram]
-    d = abs(det_bareiss(g_int))
+    d = abs(det_bareiss(lattice.int_gram))
     if d == 0:
         raise ValueError("degenerate Gram matrix")
-    invariant, v = _linalg.smith_normal_form(g_int, d)
+    invariant, v = _linalg.smith_normal_form(lattice.int_gram, d)
     factors, lifts = [], []
     for i, di in enumerate(invariant):
         if di > 1:

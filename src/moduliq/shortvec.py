@@ -1,9 +1,9 @@
 """Exact enumeration of dual-coset vectors in definite lattices (Fincke-Pohst).
 
 Every entry point runs one walk on Python ints: in the basis of
-``_linalg.lll`` of the scaled negated Gram, with pivots and coefficients
-from the LLL's integral Gram-Schmidt data, and each loop range an exact
-``math.isqrt`` bracket.  The walk builds the histogram {int key: count} of
+``_linalg.lll`` of the negated ``Lattice.int_gram``, with pivots and
+coefficients from the LLL's integral Gram-Schmidt data, and each loop range
+an exact ``math.isqrt`` bracket.  The walk builds the histogram {int key: count} of
 the coset vectors x with bound <= <x, x>, the key scaling <x, x> - bound:
 a count reads key 0, a theta series every key, and ``coset_vectors``
 collects the key-0 vectors.  It walks one sign of each pair {x, -x} on a
@@ -32,11 +32,11 @@ def _walk(lattice: Lattice, center, bound, vectors=None):
     One recursive function walks the reduced basis (the rows of basis) from
     level n-1; levels 1 and 0 are two nested loops in one frame.
     """
-    # -G is an int Gram, since every caller has built the discriminant group
-    # of the lattice; the LLL also gives its integral Gram-Schmidt data d, lam
-    gram = [[-num(a) for a in row] for row in lattice.gram]
+    # the LLL of -G, read from the stored int Gram (s = 1: every caller has
+    # built the discriminant group, which refuses a non-integral lattice),
+    # also gives the integral Gram-Schmidt data d, lam
     try:
-        _gram, basis, inverse, d, lam = _linalg.lll(gram)
+        _gram, basis, inverse, d, lam = _linalg.lll([[-a for a in row] for row in lattice.int_gram])
     except ValueError:
         raise ValueError("enumeration needs a negative definite lattice") from None
     n = len(basis)
