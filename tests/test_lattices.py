@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from field_oracle import det_field, mat_inverse
-from test_linalg import unimodular
+from test_linalg import symmetric_forms, unimodular
 from test_shortvec import skew
 from moduliq import qq
 from moduliq._linalg import mat_vec
@@ -52,6 +53,22 @@ def test_dual_gram_determinant():
 def test_det_matches_the_field_echelon(name):
     lat = build_standard(name)
     assert lat.det() == det_field(lat.gram, qq(1), qq(0))
+
+
+@given(symmetric_forms())
+def test_int_gram_is_the_minimally_scaled_gram(g):
+    # each draw and its double, which is even whenever the draw is integral
+    for k in (1, 2):
+        lat = Lattice(tuple(tuple(qq(k * x) for x in row) for row in g))
+        s, ints = lat.gram_scale, lat.int_gram
+        assert all(type(x) is int for row in ints for x in row)
+        assert [[qq(x) for x in row] for row in ints] == [[s * x for x in row] for row in lat.gram]
+        assert math.gcd(s, *(x for row in ints for x in row)) == 1
+        integral = all(is_integer(x) for row in lat.gram for x in row)
+        assert lat.is_integral() == integral
+        even = integral and all(is_integer(row[i] / 2) for i, row in enumerate(lat.gram))
+        assert lat.is_even() == even
+        assert lat.det() == det_field(lat.gram, qq(1), qq(0))
 
 
 def test_discriminant_groups():
