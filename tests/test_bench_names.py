@@ -7,8 +7,9 @@ it traces.  ``perfbench/workloads.py`` builds its q-series inputs with
 ``exponents()``, ``coeff()`` and ``trunc``.  A rename there stops every
 benchmark run, so the checks below use the files as they are, read by path:
 each cache is cleared and read, a ``Tracer`` is installed, records the Weil
-and q-series spans, and is uninstalled, and a reference series goes into
-moduliq and back through the benchmark's own check.
+and q-series spans, and is uninstalled, a reference series goes into
+moduliq and back through the benchmark's own check, and every ``theta``
+operation runs on its inputs and passes its own check.
 """
 
 import importlib.util
@@ -81,12 +82,17 @@ def test_benchmark_tracer_records_the_series_kernels():
     assert {name: vars(qseries.QSeries)[name] for name in methods} == methods
 
 
-def test_benchmark_series_inputs_round_trip_through_its_check(monkeypatch):
-    # workloads.py imports checks and spans as top-level modules
+def _workloads(monkeypatch):
+    """(checks, workloads); workloads.py imports checks and spans as
+    top-level modules."""
     checks = _load("checks")
     monkeypatch.setitem(sys.modules, "checks", checks)
     monkeypatch.setitem(sys.modules, "spans", _spans())
-    workloads = _load("workloads")
+    return checks, _load("workloads")
+
+
+def test_benchmark_series_inputs_round_trip_through_its_check(monkeypatch):
+    checks, workloads = _workloads(monkeypatch)
     ref = checks.series(
         {F(-1, 3): checks.qw(F(1, 2), -3), F(0): checks.ONE, F(5, 3): checks.qw(0, F(2, 7))}, F(2)
     )
@@ -98,3 +104,12 @@ def test_benchmark_series_inputs_round_trip_through_its_check(monkeypatch):
     a, b = workloads.random_series_data(rng), workloads.random_series_data(rng)
     product = workloads.to_qseries(a) * workloads.to_qseries(b)
     checks.check_series(product, checks.ser_mul(a, b), "product")
+
+
+def test_benchmark_theta_operations_pass_their_checks(monkeypatch):
+    # the inputs build Lattice(...) from skewed Grams and read .gram back
+    _checks, workloads = _workloads(monkeypatch)
+    ops = workloads.theta_operations(workloads.inputs("theta", 1))
+    assert ops
+    for op in ops:
+        op.check(op.call())
