@@ -13,6 +13,9 @@ SEXTIC_EPSILON5 = -46656  # coefficient of e^5, its unique degree-5 monomial
 SEXTIC_ISOBARIC_WEIGHT = 30
 DISC12_ORDER = 10
 
+# theta: the roots of E8, the q coefficient of its theta series
+E8_ROOTS = 240
+
 # dimension: the weight-10 obstruction space of L_dm, 4 = 2 + 2
 DIMENSION = {"total": 4, "eisenstein": 2, "cusp": 2}
 

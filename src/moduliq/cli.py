@@ -223,6 +223,12 @@ COMMANDS = (
             {"series": str(modforms.theta_series(a.lattice, a.coset, a.prec))},
             [f"theta expansion of {a.given['lattice']}"],
         ),
+        # the printed series must hold the term 240*q; E8's one coset is 0
+        certified=lambda a: (
+            {"series": lambda series, out: f"{certified.E8_ROOTS}*q" in series.split(" + ")}
+            if a.prec > 1 and a.lattice.gram == lattices.build_standard("E8").gram
+            else {}
+        ),
     ),
     Command(
         "weil", "symmetrized Weil representation matrices",

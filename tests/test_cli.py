@@ -350,6 +350,25 @@ def test_kirwan_exit_2(monkeypatch, capsys):
     assert result.outputs["extra_term_bound"] == 4
 
 
+def test_theta_exit_2(monkeypatch, capsys):
+    from moduliq import modforms
+    from moduliq.qseries import QSeries
+
+    monkeypatch.setattr(
+        modforms, "theta_series", lambda lattice, coset, prec: QSeries.make(1, {0: 1, 1: 239, 2: 2160}, prec)
+    )
+    result = _certificate_fails(capsys, ["theta", "--lattice", "E8"])
+    assert result.outputs["series"] == "1 + 239*q + 2160*q^2"
+    # the certified coefficient is stated for E8 above --prec 1 only
+    assert run(["theta", "--lattice", "E8", "--prec", "1"])[1] == 0
+    assert run(["theta", "--lattice", "E6", "--prec", "3"])[1] == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    result, code = run(["theta", "--lattice", "E8", "--prec", "2"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert result.outputs["series"] == "1 + 240*q"
+
+
 def test_dimension_exit_2(monkeypatch, capsys):
     from moduliq import modforms
 
