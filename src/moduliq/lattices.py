@@ -203,17 +203,34 @@ def build_standard(name: str) -> Lattice:
 class DiscGroup(Frozen):
     """A_M = M*/M with generator lifts in rational lattice coordinates and
     the int table of its forms: exponent N, q_table[i] = N <g_i, g_i> mod 2N
-    and b_table[i][j] = N <g_i, g_j> mod N for the lifts g_i."""
+    and b_table[i][j] = N <g_i, g_j> mod N for the lifts g_i.
+
+    ``walk_plan`` is a slot but not a field: ``shortvec`` stores the
+    lattice-only part of its walk there on the first walk, so the plan lives
+    exactly as long as this group in the ``discriminant_group`` cache, and
+    ``==``, ``hash`` and ``repr`` never read it."""
 
     # lifts: one rational coordinate vector per invariant factor
-    _fields = __slots__ = ("invariant_factors", "lifts", "lattice", "exponent", "q_table", "b_table")
+    _fields = ("invariant_factors", "lifts", "lattice", "exponent", "q_table", "b_table")
+    __slots__ = _fields + ("walk_plan",)
 
-    def __init__(self, invariant_factors: tuple, lifts: tuple, lattice: Lattice):
+    def __init__(self, invariant_factors: tuple, columns: tuple, lattice: Lattice):
+        # lift i is C_i / d_i for the int column C_i, so N <g_i, g_j> is the
+        # int N C_i^T G C_j / (d_i d_j) over the int Gram G
         n = math.lcm(*invariant_factors)
-        pairs = [[as_int(n * lattice.inner(u, v)) for v in lifts] for u in lifts]
+        gc = [[sum(map(mul, row, c)) for row in lattice.int_gram] for c in columns]
+        pairs = []
+        for ci, di in zip(columns, invariant_factors):
+            row = []
+            for gcj, dj in zip(gc, invariant_factors):
+                t, dd = n * sum(map(mul, ci, gcj)), di * dj
+                if t % dd:
+                    raise ValueError(f"{qq(t, dd)} is not an integer")
+                row.append(t // dd)
+            pairs.append(row)
         super().__init__(
             invariant_factors,
-            lifts,
+            tuple(tuple(qq(c, d) for c in col) for col, d in zip(columns, invariant_factors)),
             lattice,
             n,
             tuple(row[i] % (2 * n) for i, row in enumerate(pairs)),
@@ -302,14 +319,14 @@ def discriminant_group(lattice: Lattice) -> DiscGroup:
     if d == 0:
         raise ValueError("degenerate Gram matrix")
     invariant, v = _linalg.smith_normal_form(lattice.int_gram, d)
-    factors, lifts = [], []
+    factors, columns = [], []
     for i, di in enumerate(invariant):
         if di > 1:
             factors.append(di)
             # U G V = S mod |det G| with d_i | S_ii: column i of V over d_i is
             # in G^-1 Z^n, the generator in lattice coordinates, taken mod 1
-            lifts.append(tuple(qq(v[r][i] % di, di) for r in range(n)))
-    group = DiscGroup(tuple(factors), tuple(lifts), lattice)
+            columns.append(tuple(v[r][i] % di for r in range(n)))
+    group = DiscGroup(tuple(factors), tuple(columns), lattice)
     assert group.order == d
     return group
 

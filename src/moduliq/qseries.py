@@ -76,6 +76,16 @@ class QSeries(Frozen):
         if g != 1:
             d //= g
             terms = tuple((k, x // g, y // g) for k, x, y in terms)
+        # and one more puts the exponents on the coarsest grid that holds them
+        if n_den != 1:
+            g = n_den
+            for k, _, _ in terms:
+                g = math.gcd(g, k)
+                if g == 1:
+                    break
+            if g != 1:
+                n_den //= g
+                terms = tuple((k // g, x, y) for k, x, y in terms)
         init = object.__setattr__
         init(self, "n_den", n_den)
         init(self, "d", d)

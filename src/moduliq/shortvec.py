@@ -3,15 +3,18 @@
 Every entry point runs one walk on Python ints: in the basis of
 ``_linalg.lll`` of the negated ``Lattice.int_gram``, with pivots and
 coefficients from the LLL's integral Gram-Schmidt data, and each loop range
-an exact ``math.isqrt`` bracket.  The walk builds the histogram
-{int key: count} of the coset vectors x with bound <= <x, x>, the key
-scaling <x, x> - bound: a count reads key 0, a theta series every key, and
-``coset_vectors`` collects the key-0 vectors.  It walks one sign of each
-pair {x, -x} on a coset that is its own negative (2c in M), runs its last
-two levels as two nested loops in one frame, hands each level its centre
-from the level above (Schnorr-Euchner partial sums), and stops at
-``lattices.WALK_LIMIT`` leaves, counted once per level-1 range.  No
-floating point is used.
+an exact ``math.isqrt`` bracket.  That lattice-only part, the walk's plan,
+is built by the first walk of a ``DiscGroup`` and kept in its ``walk_plan``
+slot; every entry point gets its group from the cached
+``lattices.discriminant_group``, so a plan lives as long as that cache
+entry.  The walk builds the histogram {int key: count} of the coset vectors
+x with bound <= <x, x>, the key scaling <x, x> - bound: a count reads key 0,
+a theta series every key, and ``coset_vectors`` collects the key-0 vectors.
+It walks one sign of each pair {x, -x} on a coset that is its own negative
+(2c in M), runs its last two levels as two nested loops in one frame, hands
+each level its centre from the level above (Schnorr-Euchner partial sums),
+and stops at ``lattices.WALK_LIMIT`` leaves, counted once per level-1 range.
+No floating point is used.
 """
 
 import math
@@ -25,50 +28,56 @@ from .lattices import WALK_LIMIT, DiscGroup, Lattice, discriminant_group
 __all__ = ["coset_norm_counts", "count_coset_vectors", "coset_vectors", "root_data"]
 
 
-def _walk(lattice: Lattice, center, bound, vectors=None):
-    """(scale, counts) over the vectors x = z + center, z integral, with
-    bound <= <x, x>: counts maps each int key scale (<x, x> - bound) to the
-    number of those x.  A list vectors gets every x of key 0 appended.
+def _walk(disc: DiscGroup, center, bound, vectors=None):
+    """(scale, counts) over the x = z + center in disc.lattice, z integral,
+    with bound <= <x, x>: counts maps each int key scale (<x, x> - bound) to
+    the number of those x.  A list vectors gets every x of key 0 appended.
 
-    One recursive function walks the reduced basis (the rows of basis) from
-    level n-1; levels 1 and 0 are two nested loops in one frame.
+    One recursive function walks the reduced basis from level n-1; levels 1
+    and 0 are two nested loops in one frame.
     """
-    # the LLL of -G, read from the stored int Gram (s = 1: every caller has
-    # built the discriminant group, which refuses a non-integral lattice),
-    # also gives the integral Gram-Schmidt data d, lam
     try:
-        _gram, basis, inverse, d, lam = _linalg.lll([[-a for a in row] for row in lattice.int_gram])
-    except ValueError:
-        raise ValueError("enumeration needs a negative definite lattice") from None
-    n = len(basis)
+        cols, inverse, q_l, plan_d, plan_u = disc.walk_plan
+    except AttributeError:
+        # the first walk of disc builds its plan: the LLL of -G (G the int
+        # Gram, s = 1 in a discriminant group) also gives the integral data d, lam
+        try:
+            _gram, basis, inverse, d, lam = _linalg.lll([[-a for a in row] for row in disc.lattice.int_gram])
+        except ValueError:
+            raise ValueError("enumeration needs a negative definite lattice") from None
+        n = len(basis)
+        # pivots d_i = d[i+1] / d[i], u_ij = lam[j][i] / d[i+1] times their lcm denominator q_L
+        q_l = math.lcm(
+            *(d[i] // math.gcd(d[i], d[i + 1]) for i in range(n)),
+            *(d[i + 1] // math.gcd(lam[j][i], d[i + 1]) for i in range(n) for j in range(i + 1, n)),
+        )
+        cols, inverse = tuple(zip(*basis)), tuple(zip(*inverse))
+        plan_d = tuple(q_l * d[i + 1] // d[i] for i in range(n))
+        plan_u = tuple(tuple(q_l * lam[j][i] // d[i + 1] for j in range(i + 1, n)) for i in range(n))
+        object.__setattr__(disc, "walk_plan", (cols, inverse, q_l, plan_d, plan_u))
     # the lift is c = C / m, and c basis^-1 = C basis^-1 / m in the reduced basis
     m = math.lcm(*map(den, center))
     lift = [num(c) * (m // den(c)) for c in center]
-    lift = [sum(map(mul, lift, col)) for col in zip(*inverse)]
-    # <x, x> = -sum_i d_i (x_i + sum_j>i u_ij x_j)^2 with pivots
-    # d_i = d[i+1] / d[i] and u_ij = lam[j][i] / d[i+1].  With one
-    # denominator q, D_i = q d_i, U_ij = q u_ij and C_i = q c_i are ints, and
-    # so are X_j = q x_j and W_i = q X_i + sum_{j>i} U_ij X_j =
+    lift = [sum(map(mul, lift, col)) for col in inverse]
+    # <x, x> = -sum_i d_i (x_i + sum_j>i u_ij x_j)^2.  With one denominator
+    # q = lcm(q_L, den(bound), m), D_i = q d_i, U_ij = q u_ij and C_i = q c_i
+    # are ints, and so are X_j = q x_j and W_i = q X_i + sum_{j>i} U_ij X_j =
     # q^2 (x_i + sum_{j>i} u_ij x_j).  Then q^5 (-<x, x>) = sum_i D_i W_i^2,
     # and the budget q^5 (-bound) - sum_{j>=i} D_j W_j^2 stays an int >= 0.
-    q = math.lcm(
-        den(bound), m, *(d[i] // math.gcd(d[i], d[i + 1]) for i in range(n)),
-        *(d[i + 1] // math.gcd(lam[j][i], d[i + 1]) for i in range(n) for j in range(i + 1, n)),
-    )
-    q2 = q * q
-    dd = [q * d[i + 1] // d[i] for i in range(n)]
-    uu = [[q * lam[j][i] // d[i + 1] for j in range(i + 1, n)] for i in range(n)]
+    q = math.lcm(q_l, den(bound), m)
+    q2, r = q * q, q // q_l
+    dd = [r * x for x in plan_d]
+    uu = [[r * x for x in row] for row in plan_u]
     cc = [q * c // m for c in lift]
     scale = q**5
     top = -num(bound) * (scale // den(bound))
     while len(dd) < 2:
-        # ranks 0 and 1 get outer levels of centre 0 and range {0}
+        # ranks 0 and 1 get outer levels of centre 0 and range {0} (new lists: the plan stays)
         dd.append(top + 1)
         cc.append(0)
         uu = [row + [0] for row in uu] + [[]]
     # X_i = q z_i + C_i; a leaf x is X basis / q in lattice coordinates
     xx = [0] * len(dd)
-    cols = list(zip(*basis))
     counts = {}
     get = counts.get
     # the centre q C_i-1 + sum_j>=i U_i-1,j X_j of level i-1 sums its terms j > i once
@@ -147,8 +156,8 @@ def _resolve_coset(disc: DiscGroup, coset):
 
 
 def _check_spec(lattice: Lattice, coset, norm, shell=True):
-    """(lift of the coset, norm) after the boundary checks; a shell norm must
-    also match q(coset) mod 2."""
+    """(discriminant group, lift of the coset, norm) after the boundary
+    checks; a shell norm must also match q(coset) mod 2."""
     norm = qq(norm)
     if norm > 0:
         raise ValueError("norm must be non-positive for a negative definite lattice")
@@ -156,29 +165,29 @@ def _check_spec(lattice: Lattice, coset, norm, shell=True):
     el = _resolve_coset(disc, coset)
     if shell and mod_q(norm, qq(2)) != disc.q(el):
         raise ValueError("norm does not match q(coset) mod 2")
-    return disc.lift(el), norm
+    return disc, disc.lift(el), norm
 
 
 def coset_vectors(lattice: Lattice, coset, norm):
     """Sorted list of x in M* with x + M = coset and <x, x> = norm."""
-    center, norm = _check_spec(lattice, coset, norm)
+    disc, center, norm = _check_spec(lattice, coset, norm)
     vectors = []
-    _walk(lattice, center, norm, vectors)
+    _walk(disc, center, norm, vectors)
     return sorted(vectors)
 
 
 def count_coset_vectors(lattice: Lattice, coset, norm) -> int:
     """Exact number of x in M* with x + M = coset and <x, x> = norm."""
-    center, norm = _check_spec(lattice, coset, norm)
-    _scale, counts = _walk(lattice, center, norm)
+    disc, center, norm = _check_spec(lattice, coset, norm)
+    _scale, counts = _walk(disc, center, norm)
     return counts.get(0, 0)
 
 
 def coset_norm_counts(lattice: Lattice, coset, bound) -> dict:
     """{norm: number of x in M* with x + M = coset and <x, x> = norm} over
     bound <= norm <= 0, norms in decreasing order, from one enumeration."""
-    center, bound = _check_spec(lattice, coset, bound, shell=False)
-    scale, counts = _walk(lattice, center, bound)
+    disc, center, bound = _check_spec(lattice, coset, bound, shell=False)
+    scale, counts = _walk(disc, center, bound)
     return {bound + qq(key, scale): c for key, c in sorted(counts.items(), reverse=True)}
 
 

@@ -21,14 +21,22 @@ def as_dict(series):
     return {e: ref(series.coeff(e)) for e in series.exponents()}, series.trunc
 
 
+def grid(coeffs):
+    """The least N that puts every exponent of coeffs on the grid q^(1/N)."""
+    return math.lcm(*(e.denominator for e in coeffs))
+
+
 def well_formed(s):
     """True when a QSeries keeps its invariants: keys strictly increase, no
     coefficient (x + y w) / d is zero, every key k lies below the truncation
-    (k / n_den < trunc, which is k < cutoff(trunc, n_den) for an int k), and
-    the common denominator d is positive and coprime to the coordinates."""
+    (k / n_den < trunc, which is k < cutoff(trunc, n_den) for an int k), the
+    grid n_den is the coarsest that holds the keys (coprime to them all, so 1
+    for the zero series), and the common denominator d is positive and
+    coprime to the coordinates."""
     keys = [k for k, _, _ in s.terms]
     return (
         all(a < b for a, b in zip(keys, keys[1:]))
+        and math.gcd(s.n_den, *keys) == 1
         and not any(x == 0 and y == 0 for _, x, y in s.terms)
         and all(qq(k, s.n_den) < s.trunc for k in keys)
         and s.d > 0

@@ -113,3 +113,23 @@ def test_benchmark_theta_operations_pass_their_checks(monkeypatch):
     assert ops
     for op in ops:
         op.check(op.call())
+
+
+def test_benchmark_cache_reset_rebuilds_the_walk_plan(monkeypatch):
+    # run_pass clears every cache of spans.CACHES before a pass; the walk plan
+    # lives on the cached discriminant group, so the first walk after that
+    # reset reduces its lattice again, and no memo under the walk outlives it
+    spans = _spans()
+    mods = spans.import_layers()
+    caches = spans.cache_functions(mods)
+    linalg, shortvec, qq = mods["_linalg"], mods["shortvec"], mods["_rational"].qq
+    calls = []
+    lll = linalg.lll
+    monkeypatch.setattr(linalg, "lll", lambda gram: calls.append(gram) or lll(gram))
+    e6 = mods["lattices"].build_standard("E6")
+    for passes in (1, 2):
+        for fn in caches.values():
+            fn.cache_clear()
+        for coset in ((1,), (2,)):
+            assert shortvec.count_coset_vectors(e6, coset, qq(-4, 3)) == 27
+        assert len(calls) == passes

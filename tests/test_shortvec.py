@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from box_oracle import box_norm_counts, norm_ladder
 from test_linalg import unimodular
-from moduliq import qq, shortvec
+from moduliq import _linalg, qq, shortvec
 from moduliq._linalg import mat_mul, mat_transpose
 from moduliq._rational import is_integer, mod_q
 from moduliq.lattices import Lattice, build_standard, discriminant_group
@@ -281,3 +281,67 @@ def test_coset_vectors_are_the_counted_vectors(lat):
                 assert lat.inner(v, v) == norm and all(is_integer(a - b) for a, b in zip(v, lift))
             if disc.neg(el) == el:
                 assert {tuple(-a for a in v) for v in vecs} == set(vecs)
+
+
+# ---------------------------------------------------------------------------
+# the walk plan: one LLL per discriminant group
+
+
+def test_one_lll_per_discriminant_group(monkeypatch):
+    calls = []
+    lll = _linalg.lll
+    monkeypatch.setattr(_linalg, "lll", lambda gram: calls.append(gram) or lll(gram))
+    e6 = build_standard("E6")
+    discriminant_group.cache_clear()
+    for coset in ((0,), (1,), (2,)):
+        theta_series(e6, coset, 3)
+    assert count_coset_vectors(e6, (1,), qq(-4, 3)) == 27
+    assert len(coset_vectors(e6, (2,), qq(-4, 3))) == 27
+    assert len(calls) == 1
+    # a new group after the cache is cleared builds its own plan
+    discriminant_group.cache_clear()
+    assert count_coset_vectors(e6, None, -2) == 72
+    assert len(calls) == 2
+
+
+def cold_and_warm_walks(lat, bounds):
+    """Each walk of every coset of lat, once on a new group (cold: the walk
+    builds the plan) and once on a group whose plan an earlier walk built."""
+    discriminant_group.cache_clear()
+    warm = discriminant_group(lat)
+    shortvec._walk(warm, warm.lift(warm.zero()), -2)
+    for el in warm.elements():
+        for bound in bounds(warm.q(el)):
+            discriminant_group.cache_clear()
+            cold = discriminant_group(lat)
+            assert not hasattr(cold, "walk_plan")
+            # the plan is not a field: the two groups are one value
+            assert cold == warm and hash(cold) == hash(warm) and repr(cold) == repr(warm)
+            cold_vectors, warm_vectors = [], []
+            result = shortvec._walk(cold, cold.lift(el), bound, cold_vectors)
+            assert shortvec._walk(warm, warm.lift(el), bound, warm_vectors) == result
+            assert warm_vectors == cold_vectors
+            yield result, cold_vectors
+
+
+def test_warm_plan_walks_equal_cold_ones():
+    # the shell q - 4 collects vectors; a bound with denominator 5 makes the
+    # walk's q a proper multiple of the plan's q_L
+    walks = list(cold_and_warm_walks(build_standard("E6+A2"), lambda q: (q - 4, q - qq(21, 5))))
+    assert len(walks) == 2 * 9 and all(vectors for _, vectors in walks[::2])
+    u = [[1 if j >= i else 0 for j in range(8)] for i in range(8)]
+    walks = list(cold_and_warm_walks(skew(build_standard("E8"), u), lambda q: (qq(-4), qq(-11, 5))))
+    ((scale, counts), vectors), _ = walks
+    assert (counts[0], len(vectors)) == (2160, 2160)
+
+
+def test_low_rank_walks_leave_the_plan_as_it_was():
+    # ranks 0 and 1 pad the walk's D, U and C to two levels; the plan's tuples
+    # keep the lattice's rank
+    for lat, coset, norm in ((Lattice(()), None, 0), (build_standard("A1"), (1,), qq(-1, 2))):
+        disc = discriminant_group(lat)
+        runs = [(coset_norm_counts(lat, coset, norm - 4), coset_vectors(lat, coset, norm)) for _ in range(2)]
+        assert runs[0] == runs[1] and runs[0][1]
+        plan = disc.walk_plan
+        assert len(plan[3]) == len(plan[4]) == lat.rank
+        assert coset_norm_counts(lat, coset, norm - 4) == runs[0][0] and disc.walk_plan is plan
