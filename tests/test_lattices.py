@@ -329,13 +329,13 @@ def test_census_limits_name_themselves():
 
 # every lattice named in this file with |A_M| <= ISO_LIMIT (the randomized
 # glue test draws sums of A2, A2(-1) and U(3)), the odd lattice A1(3/2), whose
-# q is read on the unreduced lifts, and A1+A1+A2, whose invariant factors
-# (2, 6) differ, so the exponent is not every factor; each is also checked on
-# a skewed basis
+# q is read on the unreduced lifts, and A1+A1+A2 and A2(3), whose invariant
+# factors (2, 6) and (3, 9) differ, so the exponent is not every factor and
+# b_ij divides by d_i d_j with d_i != d_j; each is also checked on a skewed basis
 FORM_POOL = (
     "A1", "A1+A1", "A2", "A2(-1)", "A2+A1", "A2+A2", "A2+A2+A2", "A2+A2+A2+A2",
     "A2+A2(-1)+U(3)", "E6", "E8", "E6+A2", "U(3)", "U(3)+U", "U(3)+A2", "L_dm",
-    "U+U+E8+E6+A2", "II_2_26", "A1(3/2)", "A1+A1+A2",
+    "U+U+E8+E6+A2", "II_2_26", "A1(3/2)", "A1+A1+A2", "A2(3)",
 )
 
 
@@ -353,6 +353,7 @@ def test_the_form_pool_is_within_iso_limit():
     assert all(discriminant_group(build_standard(name)).order <= ISO_LIMIT for name in FORM_POOL)
     assert not build_standard("A1(3/2)").is_even()
     assert discriminant_group(build_standard("A1+A1+A2")).invariant_factors == (2, 6)
+    assert discriminant_group(build_standard("A2(3)")).invariant_factors == (3, 9)
 
 
 @pytest.mark.parametrize("name", FORM_POOL)
