@@ -2,14 +2,14 @@
 
 Conventions: a lattice is a free Z-module with an exact symmetric Gram
 matrix; root lattices (A2, E6, E8) are negative definite.  The discriminant
-group A_M = M*/M is presented through the Smith normal form of the Gram
-matrix, with generator lifts g_i stored as rational coordinate vectors in
-the lattice basis.  The forms are read from one int table, a finite
-quadratic module in the sense of Nikulin (1979): with N the exponent of A_M,
-Q_i = N <g_i, g_i> mod 2N and B_ij = N <g_i, g_j> mod N, so the quadratic
-form q (valued in Q/2Z) and the bilinear form b (valued in Q/Z) of every
-element are int sums mod 2N and N.  Both equal <x, x> and <x, y> of the
-unreduced lifts x = sum a_i g_i, odd lattices included.
+group A_M = M*/M is presented on ints through the Smith normal form of the
+int Gram matrix: generator i has order d_i and is the class of g_i = C_i / d_i
+for an int column C_i in lattice coordinates.  The forms are read from one
+int table, a finite quadratic module in the sense of Nikulin (1979): with N
+the exponent of A_M, Q_i = N <g_i, g_i> mod 2N and B_ij = N <g_i, g_j> mod N,
+so the quadratic form q (valued in Q/2Z) and the bilinear form b (valued in
+Q/Z) of every element are int sums mod 2N and N.  Both equal <x, x> and
+<x, y> of the unreduced centres x = sum a_i g_i, odd lattices included.
 """
 
 import itertools
@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import mul
 
 from . import _linalg
-from ._rational import Frozen, as_int, den, det_bareiss, fmt_q, is_integer, mod_q, num, qq
+from ._rational import Frozen, as_int, den, det_bareiss, fmt_q, mod_q, num, qq
 
 __all__ = [
     "Lattice",
@@ -96,17 +96,6 @@ class Lattice(Frozen):
         if null:
             raise ValueError("degenerate form")
         return pos, neg
-
-    def inner(self, u, v):
-        s = qq(0)
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            row = self.gram[i]
-            for j, vj in enumerate(v):
-                if vj != 0:
-                    s += ui * row[j] * vj
-        return s
 
     def rescale(self, n) -> "Lattice":
         n = qq(n)
@@ -201,22 +190,21 @@ def build_standard(name: str) -> Lattice:
 
 
 class DiscGroup(Frozen):
-    """A_M = M*/M with generator lifts in rational lattice coordinates and
-    the int table of its forms: exponent N, q_table[i] = N <g_i, g_i> mod 2N
-    and b_table[i][j] = N <g_i, g_j> mod N for the lifts g_i.
+    """A_M = M*/M on ints: the invariant factors d_i, the int Smith columns
+    C_i with 0 <= C_i < d_i, whose g_i = C_i / d_i generate A_M, and the int
+    table of its forms: exponent N, q_table[i] = N <g_i, g_i> mod 2N and
+    b_table[i][j] = N <g_i, g_j> mod N.
 
     ``walk_plan`` is a slot but not a field: ``shortvec`` stores the
     lattice-only part of its walk there on the first walk, so the plan lives
     exactly as long as this group in the ``discriminant_group`` cache, and
     ``==``, ``hash`` and ``repr`` never read it."""
 
-    # lifts: one rational coordinate vector per invariant factor
-    _fields = ("invariant_factors", "lifts", "lattice", "exponent", "q_table", "b_table")
+    _fields = ("invariant_factors", "columns", "lattice", "exponent", "q_table", "b_table")
     __slots__ = _fields + ("walk_plan",)
 
     def __init__(self, invariant_factors: tuple, columns: tuple, lattice: Lattice):
-        # lift i is C_i / d_i for the int column C_i, so N <g_i, g_j> is the
-        # int N C_i^T G C_j / (d_i d_j) over the int Gram G
+        # N <g_i, g_j> is the int N C_i^T G C_j / (d_i d_j) over the int Gram G
         n = math.lcm(*invariant_factors)
         gc = [[sum(map(mul, row, c)) for row in lattice.int_gram] for c in columns]
         pairs = []
@@ -230,7 +218,7 @@ class DiscGroup(Frozen):
             pairs.append(row)
         super().__init__(
             invariant_factors,
-            tuple(tuple(qq(c, d) for c in col) for col, d in zip(columns, invariant_factors)),
+            columns,
             lattice,
             n,
             tuple(row[i] % (2 * n) for i, row in enumerate(pairs)),
@@ -259,17 +247,20 @@ class DiscGroup(Frozen):
             (a + b) % d for a, b, d in zip(e1, e2, self.invariant_factors)
         )
 
-    def lift(self, el):
-        n = self.lattice.rank
-        v = [qq(0)] * n
-        for a, g in zip(el, self.lifts):
+    def center(self, el):
+        """(ints, m) with ints / m = sum a_i g_i in lowest terms: the centre x
+        of the coset el, whose <x, x> and <x, y> the table reduces."""
+        n = self.exponent
+        ints = [0] * self.lattice.rank
+        for a, col, d in zip(el, self.columns, self.invariant_factors):
             if a:
-                for i in range(n):
-                    v[i] += a * g[i]
-        return tuple(v)
+                k = a * (n // d)
+                ints = [x + k * c for x, c in zip(ints, col)]
+        g = math.gcd(n, *ints)
+        return tuple(x // g for x in ints), n // g
 
     def q(self, el):
-        """Quadratic form value in [0, 2): <x, x> mod 2 for x = lift(el)."""
+        """Quadratic form value in [0, 2): <x, x> mod 2 for the centre x of el."""
         q, b = self.q_table, self.b_table
         s = 0
         for i, a in enumerate(el):
@@ -279,7 +270,7 @@ class DiscGroup(Frozen):
         return qq(s % (2 * n), n)
 
     def b(self, e1, e2):
-        """Bilinear form value in [0, 1): <lift(e1), lift(e2)> mod 1."""
+        """Bilinear form value in [0, 1): <x1, x2> mod 1 for the centres of e1, e2."""
         s = 0
         for a, row in zip(e1, self.b_table):
             if a:
@@ -289,11 +280,14 @@ class DiscGroup(Frozen):
 
     def reduce_vector(self, v):
         """Class of a dual vector (rational coordinates) in A_M."""
-        # solve v = sum a_i lift_i + (lattice vector) for a_i mod d_i
-        # brute force over the group; groups here are small
+        # v = w / m in lowest terms lies in the coset whose centre is w' / m
+        # with w = w' mod m; a scan over the group, which is small here
+        v = [qq(x) for x in v]
+        m = math.lcm(*map(den, v))
+        w = [num(x) * (m // den(x)) for x in v]
         for el in self.elements():
-            w = self.lift(el)
-            if all(is_integer(x - y) for x, y in zip(v, w)):
+            ints, m_el = self.center(el)
+            if m_el == m and all((x - y) % m == 0 for x, y in zip(w, ints)):
                 return el
         raise ValueError("vector does not lie in the dual lattice")
 
@@ -325,6 +319,7 @@ def discriminant_group(lattice: Lattice) -> DiscGroup:
             factors.append(di)
             # U G V = S mod |det G| with d_i | S_ii: column i of V over d_i is
             # in G^-1 Z^n, the generator in lattice coordinates, taken mod 1
+            # as the int column C_i mod d_i
             columns.append(tuple(v[r][i] % di for r in range(n)))
     group = DiscGroup(tuple(factors), tuple(columns), lattice)
     assert group.order == d
@@ -402,30 +397,27 @@ def analyze_isometry(lattice: Lattice, matrix) -> IsometryReport:
     n = lattice.rank
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("dimension mismatch")
-    g = [[qq(x) for x in row] for row in matrix]
-    zero, one = qq(0), qq(1)
-    gt = _linalg.mat_transpose(g)
-    gram = [list(row) for row in lattice.gram]
-    is_isometry = _linalg.mat_eq(
-        _linalg.mat_mul(_linalg.mat_mul(gt, gram, zero), g, zero), gram
-    )
-    order = _linalg.mat_pow_order(g, one, zero, cap=120) if is_isometry else None
-    g_minus_1 = [[g[i][j] - (one if i == j else zero) for j in range(n)] for i in range(n)]
-    fixed_rank = n - _linalg.rank_field(g_minus_1, one, zero)
-    # discriminant action: g fixes A_M iff (g - 1) maps every generator lift into M
+    g = [[as_int(qq(x)) for x in row] for row in matrix]
+    gram = lattice.int_gram
+    gtg = _linalg.mat_mul(_linalg.mat_mul(_linalg.mat_transpose(g), gram, 0), g, 0)
+    is_isometry = _linalg.mat_eq(gtg, gram)
+    order = _linalg.mat_pow_order(g, 1, 0, cap=120) if is_isometry else None
+    g_minus_1 = [[x - (1 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(g)]
+    fixed_rank = n - _linalg.rank_field(g_minus_1, qq(1), 0)
+    # discriminant action: g fixes A_M iff (g - 1) g_i is in M for every
+    # generator g_i = C_i / d_i, that is (g - 1) C_i = 0 mod d_i
     disc = discriminant_group(lattice)
-    trivial = True
-    for lift in disc.lifts:
-        image = _linalg.mat_vec(g, list(lift), zero)
-        if not all(is_integer(x - y) for x, y in zip(image, lift)):
-            trivial = False
-            break
-    g2 = _linalg.mat_mul(g, g, zero)
-    poly = [
-        [g2[i][j] + g[i][j] + (one if i == j else zero) for j in range(n)]
-        for i in range(n)
-    ]
-    min_poly = all(x == zero for row in poly for x in row)
+    trivial = all(
+        x % d == 0
+        for col, d in zip(disc.columns, disc.invariant_factors)
+        for x in _linalg.mat_vec(g_minus_1, col, 0)
+    )
+    g2 = _linalg.mat_mul(g, g, 0)
+    min_poly = all(
+        g2[i][j] + x + (1 if i == j else 0) == 0
+        for i, row in enumerate(g)
+        for j, x in enumerate(row)
+    )
     return IsometryReport(is_isometry, order, fixed_rank, trivial, min_poly)
 
 
@@ -468,29 +460,27 @@ def overlattice(lattice: Lattice, glue_vectors) -> Lattice:
     Raises if the generated subgroup of A_M is not isotropic for q.
     """
     disc = discriminant_group(lattice)
-    n = lattice.rank
-    gens = []
+    n, big_n = lattice.rank, disc.exponent
     for v in glue_vectors:
-        v = tuple(qq(x) for x in v)
-        paired = _linalg.mat_vec([list(r) for r in lattice.gram], list(v), qq(0))
-        if not all(is_integer(x) for x in paired):
-            raise ValueError("glue vector is not in the dual lattice")
-        gens.append(disc.reduce_vector(v))
+        if len(v) != n:
+            raise ValueError(f"glue vector has {len(v)} coordinates, not the rank {n}")
+    gens = [disc.reduce_vector(v) for v in glue_vectors]
     subgroup = _subgroup_closure(disc, gens)
     for el in subgroup:
         if disc.q(el) != 0:
             raise ValueError("glue subgroup is not isotropic")
-    # basis via Hermite form of the scaled generator stack
-    rows = [[qq(1) if i == j else qq(0) for j in range(n)] for i in range(n)]
-    rows += [[qq(x) for x in v] for v in glue_vectors]
-    lcm = math.lcm(*(den(x) for row in rows for x in row))
-    scaled = [[as_int(x * lcm) for x in row] for row in rows]
-    basis = _linalg.hermite_row_basis(scaled, n)
+    # Hermite basis B of N times the overlattice, stacked from N e_i and the
+    # N v, which are integral since N kills A_M; its Gram is B G B^T / N^2
+    rows = [[big_n if i == j else 0 for j in range(n)] for i in range(n)]
+    rows += [[as_int(big_n * qq(x)) for x in v] for v in glue_vectors]
+    basis = _linalg.hermite_row_basis(rows, n)
     if len(basis) != n:
         raise ValueError("glue vectors do not span a finite-index overlattice")
-    bq = [[qq(x, lcm) for x in row] for row in basis]
-    gram = [[lattice.inner(bq[i], bq[j]) for j in range(n)] for i in range(n)]
-    out = Lattice(_freeze(gram), name=f"{lattice.name}^glue" if lattice.name else "")
+    gram = _linalg.mat_mul(_linalg.mat_mul(basis, lattice.int_gram, 0), _linalg.mat_transpose(basis), 0)
+    out = Lattice(
+        tuple(tuple(qq(x, big_n * big_n) for x in row) for row in gram),
+        name=f"{lattice.name}^glue" if lattice.name else "",
+    )
     if not out.is_even():
         raise ValueError("overlattice is not even")
     h = len(subgroup)

@@ -7,14 +7,15 @@ an exact ``math.isqrt`` bracket.  That lattice-only part, the walk's plan,
 is built by the first walk of a ``DiscGroup`` and kept in its ``walk_plan``
 slot; every entry point gets its group from the cached
 ``lattices.discriminant_group``, so a plan lives as long as that cache
-entry.  The walk builds the histogram {int key: count} of the coset vectors
-x with bound <= <x, x>, the key scaling <x, x> - bound: a count reads key 0,
-a theta series every key, and ``coset_vectors`` collects the key-0 vectors.
-It walks one sign of each pair {x, -x} on a coset that is its own negative
-(2c in M), runs its last two levels as two nested loops in one frame, hands
-each level its centre from the level above (Schnorr-Euchner partial sums),
-and stops at ``lattices.WALK_LIMIT`` leaves, counted once per level-1 range.
-No floating point is used.
+entry, and ``DiscGroup.center`` gives the coset's centre as ints over one
+denominator.  The walk builds the histogram {int key: count} of the coset
+vectors x with bound <= <x, x>, the key scaling <x, x> - bound: a count
+reads key 0, a theta series every key, and ``coset_vectors`` collects the
+key-0 vectors.  It walks one sign of each pair {x, -x} on a coset that is
+its own negative (2c in M), runs its last two levels as two nested loops in
+one frame, hands each level its centre from the level above
+(Schnorr-Euchner partial sums), and stops at ``lattices.WALK_LIMIT``
+leaves, counted once per level-1 range.  No floating point is used.
 """
 
 import math
@@ -29,9 +30,10 @@ __all__ = ["coset_norm_counts", "count_coset_vectors", "coset_vectors", "root_da
 
 
 def _walk(disc: DiscGroup, center, bound, vectors=None):
-    """(scale, counts) over the x = z + center in disc.lattice, z integral,
-    with bound <= <x, x>: counts maps each int key scale (<x, x> - bound) to
-    the number of those x.  A list vectors gets every x of key 0 appended.
+    """(scale, counts) over the x = z + C / m in disc.lattice, z integral,
+    for the centre (C, m) from ``disc.center``, with bound <= <x, x>: counts
+    maps each int key scale (<x, x> - bound) to the number of those x.  A
+    list vectors gets every x of key 0 appended.
 
     One recursive function walks the reduced basis from level n-1; levels 1
     and 0 are two nested loops in one frame.
@@ -55,10 +57,9 @@ def _walk(disc: DiscGroup, center, bound, vectors=None):
         plan_d = tuple(q_l * d[i + 1] // d[i] for i in range(n))
         plan_u = tuple(tuple(q_l * lam[j][i] // d[i + 1] for j in range(i + 1, n)) for i in range(n))
         object.__setattr__(disc, "walk_plan", (cols, inverse, q_l, plan_d, plan_u))
-    # the lift is c = C / m, and c basis^-1 = C basis^-1 / m in the reduced basis
-    m = math.lcm(*map(den, center))
-    lift = [num(c) * (m // den(c)) for c in center]
-    lift = [sum(map(mul, lift, col)) for col in inverse]
+    # the centre is c = C / m, and c basis^-1 = C basis^-1 / m in the reduced basis
+    ints, m = center
+    lift = [sum(map(mul, ints, col)) for col in inverse]
     # <x, x> = -sum_i d_i (x_i + sum_j>i u_ij x_j)^2.  With one denominator
     # q = lcm(q_L, den(bound), m), D_i = q d_i, U_ij = q u_ij and C_i = q c_i
     # are ints, and so are X_j = q x_j and W_i = q X_i + sum_{j>i} U_ij X_j =
@@ -156,7 +157,7 @@ def _resolve_coset(disc: DiscGroup, coset):
 
 
 def _check_spec(lattice: Lattice, coset, norm, shell=True):
-    """(discriminant group, lift of the coset, norm) after the boundary
+    """(discriminant group, centre of the coset, norm) after the boundary
     checks; a shell norm must also match q(coset) mod 2."""
     norm = qq(norm)
     if norm > 0:
@@ -165,7 +166,7 @@ def _check_spec(lattice: Lattice, coset, norm, shell=True):
     el = _resolve_coset(disc, coset)
     if shell and mod_q(norm, qq(2)) != disc.q(el):
         raise ValueError("norm does not match q(coset) mod 2")
-    return disc, disc.lift(el), norm
+    return disc, disc.center(el), norm
 
 
 def coset_vectors(lattice: Lattice, coset, norm):

@@ -9,7 +9,7 @@ import itertools
 import math
 from collections import Counter
 
-from field_oracle import mat_inverse
+from field_oracle import lift, mat_inverse
 from moduliq import qq
 from moduliq._rational import as_int, den, floor_q, num
 from moduliq.lattices import discriminant_group
@@ -30,8 +30,8 @@ def box_norm_counts(lattice, coset, lowest):
     denominator, and is bucketed by the integer y G y = N^2 <x, x>.
     """
     disc = discriminant_group(lattice)
-    lift = disc.lift(disc.zero() if coset is None else tuple(coset))
-    center = [c - floor_q(c) for c in lift]
+    coset_lift = lift(disc, disc.zero() if coset is None else tuple(coset))
+    center = [c - floor_q(c) for c in coset_lift]
     n_den = math.lcm(*(den(c) for c in center))
     gram = [[as_int(x) for x in row] for row in lattice.gram]
     qinv = mat_inverse([[-x for x in row] for row in lattice.gram], qq(1), qq(0))

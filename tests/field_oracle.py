@@ -1,4 +1,5 @@
-"""Field eliminations kept as plain references for the tests.
+"""Field eliminations and Fraction lattice vectors kept as plain references
+for the tests.
 
 The library computes lattice determinants and signatures on ints
 (``_rational.det_bareiss`` and the fraction-free ``_linalg.inertia``).  The
@@ -6,9 +7,47 @@ routines here do the same jobs the textbook way, over any field given by
 its one and zero samples: a row echelon form for the determinant and the
 inverse, and a symmetric LDL elimination for the inertia.  They share no
 code with the library's eliminations.
+
+The library's discriminant groups are int data too: the int Smith columns
+C_i and the int centre of each coset (``DiscGroup.center``).  ``lift``,
+``inner`` and ``coset_of`` read the same group in Fraction coordinates, the
+way the library did before: the lift sum a_i C_i / d_i, the Gram pairing
+term by term, and the coset of a dual vector by a scan for the element
+whose lift differs from it by an integral vector.
 """
 
 from moduliq import qq
+from moduliq._rational import is_integer
+
+
+def lift(disc, el):
+    """sum_i a_i C_i / d_i, the unreduced lift of the element el of disc, in
+    Fraction lattice coordinates."""
+    v = [qq(0)] * disc.lattice.rank
+    for a, col, d in zip(el, disc.columns, disc.invariant_factors):
+        if a:
+            v = [x + qq(a * c, d) for x, c in zip(v, col)]
+    return tuple(v)
+
+
+def inner(gram, u, v):
+    """u^T gram v, summed term by term over the nonzero coordinates."""
+    s = qq(0)
+    for x, row in zip(u, gram):
+        if x:
+            for g, y in zip(row, v):
+                if y:
+                    s += x * g * y
+    return s
+
+
+def coset_of(disc, v):
+    """The element of disc whose lift differs from the dual vector v by an
+    integral vector, by a scan over the group."""
+    for el in disc.elements():
+        if all(is_integer(a - b) for a, b in zip(v, lift(disc, el))):
+            return el
+    raise ValueError("vector does not lie in the dual lattice")
 
 
 def _echelon(a, one, zero):

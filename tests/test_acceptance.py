@@ -9,6 +9,7 @@ import math
 import random
 
 from box_oracle import box_norm_counts, norm_ladder
+from field_oracle import lift
 from numeric_oracle import to_complex
 from moduliq import qq
 from moduliq.borcherds import (
@@ -293,7 +294,7 @@ def test_criterion_14_property_suites():
         ]
         if not isotropic:
             continue
-        glue = [list(disc.lift(rng.choice(isotropic)))]
+        glue = [list(lift(disc, rng.choice(isotropic)))]
         bigger = overlattice(lat, glue)
         assert abs(bigger.det()) * 9 == abs(lat.det())
         checked += 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from field_oracle import det_field, mat_inverse
+from field_oracle import coset_of, det_field, inner, lift, mat_inverse
 from test_linalg import symmetric_forms, unimodular
 from test_shortvec import skew
 from moduliq import qq
@@ -79,8 +79,8 @@ def test_discriminant_groups():
     assert a2.invariant_factors == (3,)
     # q on the generator: the dual basis vector has norm -2/3
     gen = (1,)
-    v = a2.lift(gen)
-    assert a2.lattice.inner(v, v) % 2 != 0  # sanity: non-integral value
+    v = lift(a2, gen)
+    assert inner(a2.lattice.gram, v, v) % 2 != 0  # sanity: non-integral value
     assert a2.q(gen) == qq(4, 3)  # -2/3 mod 2
 
 
@@ -98,10 +98,11 @@ def test_discriminant_lifts_are_reduced_generators():
     for name in ("A1", "A2", "E6", "A2+A1", "A2+A2", "E6+A2", "L_dm"):
         lat = build_standard(name)
         disc = discriminant_group(lat)
-        for d, lift in zip(disc.invariant_factors, disc.lifts):
-            assert all(0 <= x < 1 for x in lift)
-            assert all(is_integer(y) for y in mat_vec(lat.gram, lift, qq(0)))
-            orders = [k for k in range(1, d + 1) if all(is_integer(k * x) for x in lift)]
+        for i, d in enumerate(disc.invariant_factors):
+            gen = lift(disc, tuple(1 if j == i else 0 for j in range(len(disc.invariant_factors))))
+            assert all(0 <= x < 1 for x in gen)
+            assert all(is_integer(y) for y in mat_vec(lat.gram, gen, qq(0)))
+            orders = [k for k in range(1, d + 1) if all(is_integer(k * x) for x in gen)]
             assert orders[0] == d
 
 
@@ -267,7 +268,7 @@ def test_overlattice_determinant_law_randomized():
         if not isotropic:
             continue
         el = rng.choice(isotropic)
-        glue = [list(disc.lift(el))]
+        glue = [list(lift(disc, el))]
         bigger = overlattice(lat, glue)
         order = 3  # all our glue elements have order three
         assert abs(bigger.det()) * order**2 == abs(lat.det())
@@ -343,10 +344,10 @@ def check_int_forms(disc, partners):
     """q and b of the int table against <x, y> of the Fraction lifts: q on
     every element, b on every element against each of partners."""
     for e1 in disc.elements():
-        v1 = disc.lift(e1)
-        assert disc.q(e1) == mod_q(disc.lattice.inner(v1, v1), qq(2))
+        v1 = lift(disc, e1)
+        assert disc.q(e1) == mod_q(inner(disc.lattice.gram, v1, v1), qq(2))
         for e2 in partners:
-            assert disc.b(e1, e2) == mod_q(disc.lattice.inner(v1, disc.lift(e2)), qq(1))
+            assert disc.b(e1, e2) == mod_q(inner(disc.lattice.gram, v1, lift(disc, e2)), qq(1))
 
 
 def test_the_form_pool_is_within_iso_limit():
@@ -369,3 +370,70 @@ def test_int_forms_match_the_fraction_lifts(name, data):
         if len(elements) > 27:
             elements = data.draw(st.lists(st.sampled_from(elements), min_size=9, max_size=9))
         check_int_forms(disc, elements)
+
+
+@pytest.mark.parametrize("name", FORM_POOL)
+def test_discriminant_group_holds_only_ints(name):
+    # the int columns, the form table and every centre are Python ints, and
+    # each centre is the Fraction lift in lowest terms
+    disc = discriminant_group(build_standard(name))
+    for col, d in zip(disc.columns, disc.invariant_factors):
+        assert all(type(c) is int and 0 <= c < d for c in col)
+    assert all(type(x) is int for x in disc.q_table)
+    assert all(type(x) is int for row in disc.b_table for x in row)
+    for el in disc.elements():
+        ints, m = disc.center(el)
+        assert type(m) is int and all(type(x) is int for x in ints)
+        assert math.gcd(m, *ints) == 1
+        assert tuple(qq(x, m) for x in ints) == lift(disc, el)
+
+
+@pytest.mark.parametrize("name", FORM_POOL)
+@settings(max_examples=2)
+@given(data=st.data())
+def test_reduce_vector_matches_the_fraction_scan(name, data):
+    # each element's lift moved by a drawn lattice vector, and drawn vectors
+    # over the exponent, which need not lie in the dual lattice
+    lat = build_standard(name)
+    for m in (lat, skew(lat, data.draw(unimodular(lat.rank)))):
+        disc = discriminant_group(m)
+        shift = st.lists(st.integers(-3, 3), min_size=m.rank, max_size=m.rank)
+        for el in disc.elements():
+            v = [x + z for x, z in zip(lift(disc, el), data.draw(shift))]
+            assert disc.reduce_vector(v) == coset_of(disc, v) == el
+        n = disc.exponent
+        for _ in range(3):
+            v = [qq(t, n) for t in data.draw(st.lists(st.integers(0, n), min_size=m.rank, max_size=m.rank))]
+            try:
+                expected = coset_of(disc, v)
+            except ValueError:
+                with pytest.raises(ValueError, match="^vector does not lie in the dual lattice$"):
+                    disc.reduce_vector(v)
+            else:
+                assert disc.reduce_vector(v) == expected
+
+
+def test_overlattice_checks_the_glue_length():
+    lat = build_standard("U(3)+U")
+    for glue in ([qq(1, 3), 0], [qq(1, 3), 0, 0, 0, 0]):
+        with pytest.raises(ValueError, match=f"^glue vector has {len(glue)} coordinates, not the rank 4$"):
+            overlattice(lat, [glue])
+
+
+def test_isometry_refuses_a_non_integer_matrix():
+    a2 = build_standard("A2")
+    for half in (qq(1, 2), 1 / 2):
+        with pytest.raises(ValueError, match="^1/2 is not an integer$"):
+            analyze_isometry(a2, ((half, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("name", FORM_POOL)
+def test_minus_one_acts_trivially_exactly_on_two_elementary_groups(name):
+    lat = build_standard(name)
+    disc = discriminant_group(lat)
+    minus_one = [[-1 if i == j else 0 for j in range(lat.rank)] for i in range(lat.rank)]
+    report = analyze_isometry(lat, minus_one)
+    assert report.is_isometry and report.fixed_rank == 0 and not report.min_poly_check
+    assert report.order == (1 if lat.rank == 0 else 2)
+    two_elementary = all(disc.add(el, el) == disc.zero() for el in disc.elements())
+    assert report.disc_action_trivial == two_elementary

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from box_oracle import box_norm_counts, norm_ladder
+from field_oracle import coset_of, inner, lift
 from test_linalg import unimodular
 from moduliq import _linalg, qq, shortvec
 from moduliq._linalg import mat_mul, mat_transpose
@@ -89,7 +90,7 @@ def test_vectors_are_sorted_and_exact():
     vecs = coset_vectors(a2, (1,), qq(-2, 3))
     assert vecs == sorted(vecs)
     for v in vecs:
-        assert a2.inner(v, v) == qq(-2, 3)
+        assert inner(a2.gram, v, v) == qq(-2, 3)
 
 
 SMALL_LATTICES = [
@@ -192,11 +193,7 @@ def to_standard(y, u):
 
 def matching_coset(lat, skewed, u, el):
     """The coset of lat holding the coset el of skewed."""
-    disc = discriminant_group(lat)
-    x = to_standard(discriminant_group(skewed).lift(el), u)
-    return next(
-        e for e in disc.elements() if all(is_integer(a - b) for a, b in zip(x, disc.lift(e)))
-    )
+    return coset_of(discriminant_group(lat), to_standard(lift(discriminant_group(skewed), el), u))
 
 
 def check_against_standard(lat, u, lowest, cosets=None):
@@ -273,12 +270,12 @@ def test_coset_vectors_are_the_counted_vectors(lat):
     # that coset, and closed under negation when the coset is its own negative
     disc = discriminant_group(lat)
     for el in disc.elements():
-        lift = disc.lift(el)
+        coset_lift = lift(disc, el)
         for norm in norm_ladder(-mod_q(-disc.q(el), qq(2)), -6):
             vecs = coset_vectors(lat, el, norm)
             assert len(set(vecs)) == len(vecs) == count_coset_vectors(lat, el, norm)
             for v in vecs:
-                assert lat.inner(v, v) == norm and all(is_integer(a - b) for a, b in zip(v, lift))
+                assert inner(lat.gram, v, v) == norm and all(is_integer(a - b) for a, b in zip(v, coset_lift))
             if disc.neg(el) == el:
                 assert {tuple(-a for a in v) for v in vecs} == set(vecs)
 
@@ -309,7 +306,7 @@ def cold_and_warm_walks(lat, bounds):
     builds the plan) and once on a group whose plan an earlier walk built."""
     discriminant_group.cache_clear()
     warm = discriminant_group(lat)
-    shortvec._walk(warm, warm.lift(warm.zero()), -2)
+    shortvec._walk(warm, warm.center(warm.zero()), -2)
     for el in warm.elements():
         for bound in bounds(warm.q(el)):
             discriminant_group.cache_clear()
@@ -318,8 +315,8 @@ def cold_and_warm_walks(lat, bounds):
             # the plan is not a field: the two groups are one value
             assert cold == warm and hash(cold) == hash(warm) and repr(cold) == repr(warm)
             cold_vectors, warm_vectors = [], []
-            result = shortvec._walk(cold, cold.lift(el), bound, cold_vectors)
-            assert shortvec._walk(warm, warm.lift(el), bound, warm_vectors) == result
+            result = shortvec._walk(cold, cold.center(el), bound, cold_vectors)
+            assert shortvec._walk(warm, warm.center(el), bound, warm_vectors) == result
             assert warm_vectors == cold_vectors
             yield result, cold_vectors
 
