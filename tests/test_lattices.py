@@ -413,11 +413,14 @@ def test_reduce_vector_matches_the_fraction_scan(name, data):
                 assert disc.reduce_vector(v) == expected
 
 
-def test_overlattice_checks_the_glue_length():
+def test_overlattice_checks_its_glue_at_the_boundary():
     lat = build_standard("U(3)+U")
     for glue in ([qq(1, 3), 0], [qq(1, 3), 0, 0, 0, 0]):
         with pytest.raises(ValueError, match=f"^glue vector has {len(glue)} coordinates, not the rank 4$"):
             overlattice(lat, [glue])
+    # G v = (0, 3/2, 0, 0) is not integral
+    with pytest.raises(ValueError, match="^vector does not lie in the dual lattice$"):
+        overlattice(lat, [[qq(1, 2), 0, 0, 0]])
 
 
 def test_isometry_refuses_a_non_integer_matrix():
