@@ -10,10 +10,10 @@ code with the library's eliminations.
 
 The library's discriminant groups are int data too: the int Smith columns
 C_i and the int centre of each coset (``DiscGroup.center``).  ``lift``,
-``inner`` and ``coset_of`` read the same group in Fraction coordinates, the
-way the library did before: the lift sum a_i C_i / d_i, the Gram pairing
-term by term, and the coset of a dual vector by a scan for the element
-whose lift differs from it by an integral vector.
+``inner`` and ``coset_of`` read the same group in Fraction coordinates,
+sharing no code with the centres: the lift sum a_i C_i / d_i, the Gram
+pairing term by term, and the coset of a dual vector by a scan for the
+element whose lift differs from it by an integral vector.
 """
 
 from moduliq import qq
