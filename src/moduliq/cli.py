@@ -140,6 +140,10 @@ def _lattice(**options):
     return _arg("--lattice", _standard, **options)
 
 
+def _int_form(lattice) -> tuple:
+    return lattice.int_gram, lattice.gram_scale
+
+
 def _echo(a, *names) -> dict:
     """The named inputs as given on the command line, before parsing."""
     return {name: a.given[name] for name in names}
@@ -226,7 +230,7 @@ COMMANDS = (
         # the printed series must hold the term 240*q; E8's one coset is 0
         certified=lambda a: (
             {"series": lambda series, out: f"{certified.E8_ROOTS}*q" in series.split(" + ")}
-            if a.prec > 1 and a.lattice.gram == lattices.build_standard("E8").gram
+            if a.prec > 1 and _int_form(a.lattice) == _int_form(lattices.build_standard("E8"))
             else {}
         ),
     ),
@@ -255,7 +259,7 @@ COMMANDS = (
             f" + {report.cusp} cusp)"]),
         certified=lambda a: (
             certified.DIMENSION
-            if a.weight == 10 and a.lattice.gram == lattices.build_standard("L_dm").gram
+            if a.weight == 10 and _int_form(a.lattice) == _int_form(lattices.build_standard("L_dm"))
             else {}
         ),
     ),

@@ -4,15 +4,15 @@ The Hermitian form is linear in the first argument and conjugate-linear in
 the second; Gram entries lie in (1/sqrt(-3)) Z[w] with sqrt(-3) = 1 + 2w
 held exactly.  No real radicals appear anywhere.  The trace form and the
 reflections run on int pairs (x, y) = x + y w over one common denominator
-of the Gram matrix, read from the ``CycNum`` triples, with w^2 = -1 - w;
-each output entry becomes one rational or one ``CycNum.of`` triple.
+of the Gram matrix, read from the ``CycNum`` triples, with w^2 = -1 - w; the
+trace form is int rows over D, and each reflection entry one ``CycNum.of``.
 """
 
 import math
 from collections import namedtuple
 
-from ._rational import Frozen, qq
-from .lattices import Lattice
+from ._rational import Frozen
+from .lattices import Lattice, _lattice
 from .scalars import CYC_ONE, CYC_ZERO, OMEGA, SQRT_M3, CycNum, cyc
 
 __all__ = [
@@ -130,9 +130,9 @@ def trace_lattice(h: HermLattice) -> Lattice:
     d, rows = _pair_rows(h.gram)
     out = []
     for row in rows:
-        out.append([qq(x, d) for a, b in row for x in (2 * a - b, 2 * b - a)])
-        out.append([qq(x, d) for a, b in row for x in (-a - b, 2 * a - b)])
-    return Lattice(tuple(map(tuple, out)))
+        out.append([x for a, b in row for x in (2 * a - b, 2 * b - a)])
+        out.append([x for a, b in row for x in (-a - b, 2 * a - b)])
+    return _lattice(out, d)
 
 
 # order: int or None

@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import mul
 
 from . import _linalg
-from ._rational import Frozen, as_int, den, det_bareiss, fmt_q, mod_q, num, qq
+from ._rational import QQ, Frozen, as_int, den, det_bareiss, fmt_q, mod_q, num, qq
 
 __all__ = [
     "Lattice",
@@ -43,43 +43,43 @@ WALK_LIMIT = 200_000  # leaves of one shortvec walk, counted per level-1 range; 
 
 
 class Lattice(Frozen):
-    """A Gram matrix (tuple of tuples of rationals) and an optional name.
-
-    The constructor also stores the one int Gram that every int kernel
-    reads: ``gram_scale`` is the lcm s of the Gram's denominators and
-    ``int_gram`` is s * gram, a tuple of tuples of Python ints.  The
-    determinant, the signature, the discriminant group and the short-vector
-    walk all read ``int_gram``.  Both are derived from the Gram, so ``==``,
-    ``hash`` and ``repr`` read only gram and name.
+    """A lattice stored as its int Gram: the Gram matrix G is int_gram / s
+    for the least s = ``gram_scale`` > 0 with s G integral, and ``int_gram``
+    is a tuple of tuples of Python ints.  Every kernel, ``==`` and ``hash``
+    read these ints (and the name).  ``Lattice(gram, name)`` scans a
+    rational Gram once for them; the builders hand over ints directly.
+    ``gram``, a tuple of tuples of rationals, is built on its first read.
     """
 
-    _fields = ("gram", "name")
-    __slots__ = _fields + ("_hash", "gram_scale", "int_gram")
+    _fields = ("int_gram", "gram_scale", "name")
+    __slots__ = _fields + ("_gram",)
 
     def __init__(self, gram: tuple, name: str = ""):
-        super().__init__(gram, name)
         s = math.lcm(*[x.denominator for row in gram for x in row])
-        if s == 1:
-            # the usual, integral case reads the numerators alone, at half the
-            # cost of the rescaling below
-            ints = tuple([tuple(map(num, row)) for row in gram])
-        else:
-            ints = tuple([tuple([num(x) * (s // den(x)) for x in row]) for row in gram])
-        object.__setattr__(self, "gram_scale", s)
-        object.__setattr__(self, "int_gram", ints)
+        # the usual, integral case reads the numerators alone
+        scaled = num if s == 1 else (lambda x: num(x) * (s // den(x)))
+        self._set([tuple(map(scaled, row)) for row in gram], s, name)
 
-    def __hash__(self):
-        # computed once: each lru_cache lookup hashes its key, and hashing the
-        # Fraction Gram of L_dm takes about 0.2 ms
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.gram, self.name)))
-            return self._hash
+    def _set(self, rows, scale: int, name: str) -> "Lattice":
+        # the one constructor path: dividing out gcd(scale, rows) makes the scale least
+        if scale != 1:
+            g = math.gcd(scale, *itertools.chain.from_iterable(rows))
+            if g != 1:
+                rows, scale = [[x // g for x in row] for row in rows], scale // g
+        super().__init__(tuple(map(tuple, rows)), scale, name)
+        return self
+
+    @property
+    def gram(self) -> tuple:
+        if not hasattr(self, "_gram"):
+            # one rational per distinct entry, shared: a Gram has few of them
+            q = {x: QQ(x, self.gram_scale) for x in set(itertools.chain.from_iterable(self.int_gram))}
+            object.__setattr__(self, "_gram", tuple(tuple(map(q.__getitem__, row)) for row in self.int_gram))
+        return self._gram
 
     @property
     def rank(self) -> int:
-        return len(self.gram)
+        return len(self.int_gram)
 
     def det(self):
         # det(s G) / s^n on ints; rank 0 gives 1
@@ -98,56 +98,55 @@ class Lattice(Frozen):
         return pos, neg
 
     def rescale(self, n) -> "Lattice":
+        # n G = p int_gram / (q s) for n = p / q
         n = qq(n)
-        return Lattice(
-            tuple(tuple(n * x for x in row) for row in self.gram),
-            name=f"{self.name}({fmt_q(n)})" if self.name else "",
+        return _lattice(
+            [[num(n) * x for x in row] for row in self.int_gram],
+            self.gram_scale * den(n),
+            f"{self.name}({fmt_q(n)})" if self.name else "",
         )
+
+    def __repr__(self):
+        return f"Lattice(gram={self.gram!r}, name={self.name!r})"
 
     def __str__(self):
         return self.name or f"<lattice rank {self.rank}>"
 
 
-def _freeze(rows) -> tuple:
-    return tuple(tuple(qq(x) for x in row) for row in rows)
+def _lattice(rows, scale: int = 1, name: str = "") -> Lattice:
+    """The Lattice with Gram rows / scale, for int rows and an int scale > 0."""
+    return object.__new__(Lattice)._set(rows, scale, name)
 
 
 def direct_sum(*lattices: Lattice, name: str = None) -> Lattice:
     """Orthogonal sum, named ``name`` or else by its named summands joined
-    with '+'."""
-    n = sum(l.rank for l in lattices)
-    rows = [[qq(0)] * n for _ in range(n)]
-    off = 0
+    with '+'.  Each block is put over the lcm of the summands' scales."""
+    s = math.lcm(*[lat.gram_scale for lat in lattices])
+    n = sum(lat.rank for lat in lattices)
+    rows = []
     for lat in lattices:
-        for i in range(lat.rank):
-            for j in range(lat.rank):
-                rows[off + i][off + j] = lat.gram[i][j]
-        off += lat.rank
+        k = s // lat.gram_scale
+        left, right = (0,) * len(rows), (0,) * (n - len(rows) - lat.rank)
+        rows += [left + tuple([k * x for x in row]) + right for row in lat.int_gram]
     if name is None:
-        name = "+".join(l.name for l in lattices if l.name)
-    return Lattice(_freeze(rows), name=name)
+        name = "+".join(lat.name for lat in lattices if lat.name)
+    return _lattice(rows, s, name)
 
 
-def _cartan_negative(edges, n) -> tuple:
-    rows = [[qq(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = qq(-2)
+def _cartan_negative(edges, n) -> list:
+    rows = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i, j in edges:
-        rows[i - 1][j - 1] = qq(1)
-        rows[j - 1][i - 1] = qq(1)
-    return _freeze(rows)
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = 1
+    return rows
 
-
-_E6_EDGES = [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)]
-_E8_EDGES = [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)]
 
 _BASE = {
-    "U": lambda: Lattice(_freeze([[0, 1], [1, 0]]), name="U"),
-    "A1": lambda: Lattice(_freeze([[-2]]), name="A1"),
-    "A2": lambda: Lattice(_freeze([[-2, 1], [1, -2]]), name="A2"),
-    "E6": lambda: Lattice(_cartan_negative(_E6_EDGES, 6), name="E6"),
-    "E8": lambda: Lattice(_cartan_negative(_E8_EDGES, 8), name="E8"),
-    "0": lambda: Lattice((), name="0"),
+    "U": [[0, 1], [1, 0]],
+    "A1": [[-2]],
+    "A2": [[-2, 1], [1, -2]],
+    "E6": _cartan_negative([(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)], 6),
+    "E8": _cartan_negative([(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)], 8),
+    "0": [],
 }
 
 
@@ -159,12 +158,9 @@ def _parse_token(token: str) -> Lattice:
             n = qq(scale)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in the scale of {token!r}") from None
-        if base == "U":
-            return Lattice(_freeze([[0, n], [n, 0]]), name=f"U({fmt_q(n)})")
-        lat = _parse_token(base)
-        return lat.rescale(n)
+        return _parse_token(base).rescale(n)
     if token in _BASE:
-        return _BASE[token]()
+        return _lattice(_BASE[token], name=token)
     raise ValueError(f"unknown lattice name {token!r}")
 
 
@@ -282,6 +278,8 @@ class DiscGroup(Frozen):
         """Class of a dual vector (rational coordinates) in A_M."""
         # v = w / m in lowest terms lies in the coset whose centre is w' / m
         # with w = w' mod m; a scan over the group, which is small here
+        if len(v) != self.lattice.rank:
+            raise ValueError(f"vector has {len(v)} coordinates, not the rank {self.lattice.rank}")
         v = [qq(x) for x in v]
         m = math.lcm(*map(den, v))
         w = [num(x) * (m // den(x)) for x in v]
@@ -477,10 +475,7 @@ def overlattice(lattice: Lattice, glue_vectors) -> Lattice:
     if len(basis) != n:
         raise ValueError("glue vectors do not span a finite-index overlattice")
     gram = _linalg.mat_mul(_linalg.mat_mul(basis, lattice.int_gram, 0), _linalg.mat_transpose(basis), 0)
-    out = Lattice(
-        tuple(tuple(qq(x, big_n * big_n) for x in row) for row in gram),
-        name=f"{lattice.name}^glue" if lattice.name else "",
-    )
+    out = _lattice(gram, big_n * big_n, f"{lattice.name}^glue" if lattice.name else "")
     if not out.is_even():
         raise ValueError("overlattice is not even")
     h = len(subgroup)

@@ -23,7 +23,6 @@ from moduliq.borcherds import (
     quasi_pullback,
 )
 from moduliq.kirwan import (
-    REFERENCE_TABLES,
     betti_complete,
     binary_form_weights,
     correction_extra_bound,
@@ -49,7 +48,6 @@ from moduliq.ledger import (
 from moduliq.luna import disc12_vanishing_order, sextic_discriminant
 from moduliq.modforms import (
     eisenstein_level3,
-    obstruction_cusp_basis,
     obstruction_eisenstein,
     theta_series,
     vvmf_dimension_report,

@@ -10,7 +10,7 @@ from moduliq.hermitian import (
     unitary_reflection,
     HermLattice,
 )
-from moduliq.scalars import CYC_ONE, CYC_ZERO, OMEGA, SQRT_M3, CycNum, cyc
+from moduliq.scalars import CYC_ONE, CYC_ZERO, OMEGA, SQRT_M3, cyc
 
 
 def test_gram_is_hermitian_and_scaled_integral():

@@ -14,6 +14,7 @@ from moduliq._rational import is_integer, mod_q
 from moduliq.lattices import (
     ISO_LIMIT,
     Lattice,
+    _lattice,
     analyze_isometry,
     build_standard,
     classify_disc_elements,
@@ -55,12 +56,27 @@ def test_det_matches_the_field_echelon(name):
     assert lat.det() == det_field(lat.gram, qq(1), qq(0))
 
 
-@given(symmetric_forms())
-def test_int_gram_is_the_minimally_scaled_gram(g):
+def _fraction_lattice(rows):
+    return Lattice(tuple(tuple(qq(x) for x in row) for row in rows))
+
+
+@given(
+    symmetric_forms(),
+    symmetric_forms(),
+    st.builds(qq, st.integers(-4, 4), st.integers(1, 6)),
+    st.integers(2, 6),
+)
+def test_int_gram_is_the_minimally_scaled_gram(g, h, r, k):
     # each draw and its double, which is even whenever the draw is integral
-    for k in (1, 2):
-        lat = Lattice(tuple(tuple(qq(k * x) for x in row) for row in g))
+    for c in (1, 2):
+        gram = tuple(tuple(qq(c * x) for x in row) for row in g)
+        lat = Lattice(gram)
         s, ints = lat.gram_scale, lat.int_gram
+        assert lat.gram == gram
+        # the int route at a scale k times the least one gives the same lattice
+        same = _lattice([[k * x for x in row] for row in ints], k * s)
+        assert same == lat and hash(same) == hash(lat)
+        assert (same.gram, same.int_gram, same.gram_scale) == (gram, ints, s)
         assert all(type(x) is int for row in ints for x in row)
         assert [[qq(x) for x in row] for row in ints] == [[s * x for x in row] for row in lat.gram]
         assert math.gcd(s, *(x for row in ints for x in row)) == 1
@@ -69,6 +85,16 @@ def test_int_gram_is_the_minimally_scaled_gram(g):
         even = integral and all(is_integer(row[i] / 2) for i, row in enumerate(lat.gram))
         assert lat.is_even() == even
         assert lat.det() == det_field(lat.gram, qq(1), qq(0))
+    # the int builders against Fraction Grams built here: the block sum of two
+    # draws, and a draw times r
+    n, m = len(g), len(h)
+    block = [list(row) + [0] * m for row in g] + [[0] * n + list(row) for row in h]
+    scaled = [[r * x for x in row] for row in g]
+    for got, rows in ((direct_sum(_fraction_lattice(g), _fraction_lattice(h)), block),
+                      (_fraction_lattice(g).rescale(r), scaled)):
+        want = _fraction_lattice(rows)
+        assert got == want and hash(got) == hash(want)
+        assert got.gram == tuple(tuple(qq(x) for x in row) for row in rows)
 
 
 def test_discriminant_groups():
@@ -421,6 +447,14 @@ def test_overlattice_checks_its_glue_at_the_boundary():
     # G v = (0, 3/2, 0, 0) is not integral
     with pytest.raises(ValueError, match="^vector does not lie in the dual lattice$"):
         overlattice(lat, [[qq(1, 2), 0, 0, 0]])
+
+
+def test_reduce_vector_refuses_a_vector_of_another_length():
+    disc = discriminant_group(build_standard("A2+A2"))
+    assert disc.reduce_vector([qq(1, 3), qq(2, 3), 0, 0]) == (1, 0)
+    for v in ([qq(1, 3), qq(2, 3)], [qq(1, 3), qq(2, 3), 0, 0, 5]):
+        with pytest.raises(ValueError, match=f"^vector has {len(v)} coordinates, not the rank 4$"):
+            disc.reduce_vector(v)
 
 
 def test_isometry_refuses_a_non_integer_matrix():

@@ -23,7 +23,6 @@ from moduliq.ledger import (
     solve_unknown,
     top_intersection_T9,
     top_intersection_factors,
-    vital_coefficient,
 )
 
 
