@@ -48,12 +48,6 @@ class HeegnerCombo(Frozen):
     def as_dict(self) -> dict:
         return dict(self.entries)
 
-    def scaled(self, factor) -> "HeegnerCombo":
-        factor = qq(factor)
-        return HeegnerCombo.make(
-            {key: mult * factor for key, mult in self.entries}
-        )
-
     def __str__(self):
         if not self.entries:
             return "0"

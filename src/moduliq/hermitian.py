@@ -37,10 +37,6 @@ class HermLattice(Frozen):
             self.gram[i][j] == self.gram[j][i].conj() for i in range(n) for j in range(n)
         )
 
-    def entries_in_scaled_eisenstein(self) -> bool:
-        """All entries lie in (1/(1+2w)) Z[w]."""
-        return all((x * SQRT_M3).is_integral() for row in self.gram for x in row)
-
     def signature(self):
         """Hermitian signature, from the exact inertia of the trace form."""
         pos, neg = trace_lattice(self).signature()

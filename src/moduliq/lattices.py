@@ -329,20 +329,16 @@ def classify_disc_elements(lattice: Lattice) -> dict:
     return {label: len(els) for label, els in elements_by_type(lattice).items()}
 
 
-def element_type(disc: DiscGroup, el) -> str:
-    if all(a == 0 for a in el):
-        return "00"
-    qv = disc.q(el)
-    return "0" if qv == 0 else fmt_q(qv)
-
-
 def elements_by_type(lattice: Lattice) -> dict:
+    """A_M by type label: '00' for 0, '0' for nonzero isotropic, else q."""
     disc = discriminant_group(lattice)
     if disc.order > CENSUS_LIMIT:
         raise ValueError(f"|A_M| = {disc.order} exceeds CENSUS_LIMIT = {CENSUS_LIMIT}")
     groups = {}
     for el in disc.elements():
-        groups.setdefault(element_type(disc, el), []).append(el)
+        qv = disc.q(el)
+        label = "00" if not any(el) else "0" if qv == 0 else fmt_q(qv)
+        groups.setdefault(label, []).append(el)
     return groups
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "disc12_vanishing_order",
     "sextic_discriminant",
     "slice_data",
-    "univariate_resultant",
 ]
 
 
@@ -97,16 +96,6 @@ class MultiPoly:
         return MultiPoly(self.nvars, out)
 
     __rmul__ = __mul__
-
-    def evaluate(self, point):
-        total = qq(0)
-        for e, c in self.terms.items():
-            v = qq(c)
-            for x, k in zip(point, e):
-                if k:
-                    v *= qq(x) ** k
-            total += v
-        return total
 
     def total_degrees(self):
         return sorted({sum(e) for e in self.terms})
@@ -247,22 +236,6 @@ def sextic_discriminant() -> MultiPoly:
     isobaric = [certified.SEXTIC_ISOBARIC_WEIGHT]
     assert disc.weighted_degrees(SEXTIC_WEIGHTS) == isobaric, "not isobaric"
     return disc
-
-
-def univariate_resultant(p, q):
-    """Resultant of two rational coefficient lists (highest degree first).
-
-    Independent of the multivariate Laplace path: ``det_bareiss`` of the
-    Sylvester matrix of the two lists scaled to integers.
-    """
-    p = [qq(x) for x in p]
-    q = [qq(x) for x in q]
-    scale_p = math.lcm(*(den(x) for x in p))
-    scale_q = math.lcm(*(den(x) for x in q))
-    pi = [as_int(x * scale_p) for x in p]
-    qi = [as_int(x * scale_q) for x in q]
-    det = det_bareiss(_sylvester(pi, qi, 0))
-    return qq(det) / (qq(scale_p) ** (len(q) - 1) * qq(scale_q) ** (len(p) - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from operator import mul
 
 from . import _linalg
 from ._rational import Frozen, as_int, den, floor_q, fmt_q, is_integer, mod_q, num, qq
-from .lattices import Lattice, discriminant_group, elements_by_type, pairing_census
+from .lattices import Lattice, discriminant_group, pairing_census
 from .qseries import QSeries, check_terms, cutoff, eta_power
 from .scalars import CYC_ONE, CYC_ZERO, OMEGA_POWERS, cyc, omega_pow, root_of_unity_6
 from .shortvec import _resolve_coset, coset_norm_counts
@@ -295,23 +295,8 @@ class VVForm(Frozen):
     def __init__(self, components: dict, weight, rep: str):
         super().__init__(components, weight, rep)
 
-    def component(self, label: str) -> QSeries:
-        return self.components[label]
-
     def coeff(self, label: str, exponent):
         return self.components[label].coeff(exponent)
-
-    def check_translation_law(self, lattice: Lattice) -> bool:
-        """Exponents of each component sit on -q/2 (dual) or q/2 (plain) mod 1."""
-        groups = elements_by_type(lattice)
-        disc = discriminant_group(lattice)
-        for label, series in self.components.items():
-            qv = disc.q(groups[label][0])
-            want = mod_q(-qv / 2 if self.rep == "rho*" else qv / 2, qq(1))
-            for e in series.exponents():
-                if mod_q(e, qq(1)) != want:
-                    return False
-        return True
 
 
 def _obstruction_prec(prec):

@@ -287,20 +287,6 @@ class QSeries(Frozen):
             return self * other.invert()
         return self.scale(CYC_ONE / cyc(other))
 
-    # -- comparison on jointly-known range ----------------------------------
-
-    def agrees_with(self, other: "QSeries") -> bool:
-        """Equal coefficients below both truncations: the keys on the common
-        grid and the coordinates cross-multiplied by the other denominator."""
-        n = math.lcm(self.n_den, other.n_den)
-        limit = cutoff(min(self.trunc, other.trunc), n)
-
-        def common(a, b):
-            f = n // a.n_den
-            return [(k * f, x * b.d, y * b.d) for k, x, y in a.terms if k * f < limit]
-
-        return common(self, other) == common(other, self)
-
     # -- rendering -----------------------------------------------------------
 
     def __str__(self):

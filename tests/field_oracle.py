@@ -14,10 +14,13 @@ C_i and the int centre of each coset (``DiscGroup.center``).  ``lift``,
 sharing no code with the centres: the lift sum a_i C_i / d_i, the Gram
 pairing term by term, and the coset of a dual vector by a scan for the
 element whose lift differs from it by an integral vector.
+``translation_law_holds`` reads the q-value of each type class of a
+vector-valued form from the same lift and pairing.
 """
 
 from moduliq import qq
 from moduliq._rational import is_integer
+from moduliq.lattices import discriminant_group, elements_by_type
 
 
 def lift(disc, el):
@@ -48,6 +51,21 @@ def coset_of(disc, v):
         if all(is_integer(a - b) for a, b in zip(v, lift(disc, el))):
             return el
     raise ValueError("vector does not lie in the dual lattice")
+
+
+def translation_law_holds(form, lattice):
+    """True when every exponent of each component of the VVForm form is
+    -q/2 (rep rho*) or q/2 (rep rho) mod 1, with q = <x, x> for the lift x
+    of the first element of the component's type class in A_M of lattice."""
+    disc = discriminant_group(lattice)
+    groups = elements_by_type(lattice)
+    sign = -1 if form.rep == "rho*" else 1
+    for label, series in form.components.items():
+        x = lift(disc, groups[label][0])
+        want = sign * inner(lattice.gram, x, x) / 2
+        if not all(is_integer(e - want) for e in series.exponents()):
+            return False
+    return True
 
 
 def _echelon(a, one, zero):

@@ -6,7 +6,17 @@ coefficients in Z[t], and takes the determinant of their Sylvester matrix by
 a fraction-free Bareiss elimination over Z[t] itself: polynomial multiply,
 subtract and exact divide on coefficient lists.  It shares no substitution,
 bound or digit unpacking with the code it checks.
+
+``univariate_resultant`` and ``evaluate`` check the versal sextic
+discriminant of ``moduliq.luna`` at points: the resultant of two rational
+coefficient lists is the same ``det_unipoly`` of their Sylvester matrix,
+with constant entries, and a ``MultiPoly`` is evaluated term by term.
+Neither shares the library's Laplace expansion or its int determinant.
 """
+
+import math
+
+from moduliq import qq
 
 
 def _trim(p):
@@ -95,3 +105,28 @@ def slice_det(monomials, coeff_ints):
             row[shift : shift + 12] = form
             rows.append(row)
     return det_unipoly(rows)
+
+
+def evaluate(poly, point):
+    """The value of a MultiPoly at a point of rationals, summed term by term."""
+    return sum(
+        (qq(c) * math.prod(qq(x) ** k for x, k in zip(point, e)) for e, c in poly.terms.items()),
+        qq(0),
+    )
+
+
+def univariate_resultant(p, q):
+    """Res(p, q) of two rational coefficient lists, highest degree first:
+    det_unipoly of the Sylvester matrix of the lists scaled to integers."""
+    p, q = [qq(x) for x in p], [qq(x) for x in q]
+    scale_p = math.lcm(*(x.denominator for x in p))
+    scale_q = math.lcm(*(x.denominator for x in q))
+    m, n = len(p) - 1, len(q) - 1
+    rows = []
+    for coeffs, scale, shifts in ((p, scale_p, n), (q, scale_q, m)):
+        for shift in range(shifts):
+            row = [[] for _ in range(m + n)]
+            row[shift : shift + len(coeffs)] = [[int(x * scale)] for x in coeffs]
+            rows.append(row)
+    det = det_unipoly(rows)
+    return qq(det[0] if det else 0) / (qq(scale_p) ** n * qq(scale_q) ** m)

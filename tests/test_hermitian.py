@@ -17,7 +17,8 @@ def test_gram_is_hermitian_and_scaled_integral():
     lat = eisenstein_hermitian_lattice()
     assert lat.rank == 10
     assert lat.is_hermitian()
-    assert lat.entries_in_scaled_eisenstein()
+    # every entry lies in (1/(1+2w)) Z[w]
+    assert all((x * SQRT_M3).is_integral() for row in lat.gram for x in row)
 
 
 def test_signature_1_9():

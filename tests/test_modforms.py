@@ -6,6 +6,7 @@ import pytest
 
 import series_oracle
 import weil_oracle
+from field_oracle import translation_law_holds
 from numeric_oracle import to_complex
 
 from moduliq import qq
@@ -283,22 +284,22 @@ def test_obstruction_eisenstein_leading_coefficients():
     assert h.coeff("0", 1).rational() == qq(2 * 3**10, 11 * 61)
     assert h.coeff("4/3", qq(1, 3)).rational() == qq(3, 11 * 61)
     assert h.coeff("2/3", qq(2, 3)).rational() == qq(3 * 513, 11 * 61)
-    assert h.check_translation_law(build_standard("L_dm"))
+    assert translation_law_holds(h, build_standard("L_dm"))
 
 
 def test_obstruction_cusp_leading_data():
     case_a, case_b = obstruction_cusp_basis(2)
     # tuple A: components 00 and 0 in ratio 1 : -2, leading exponent 2/3 for 2/3
-    a00 = case_a.component("00")
-    a0 = case_a.component("0")
+    a00 = case_a.components["00"]
+    a0 = case_a.components["0"]
     assert a00.leading()[0] == 1
     assert a0.coeff(1) == a00.coeff(1).__mul__(-2)
-    assert case_a.component("2/3").leading()[0] == qq(2, 3)
+    assert case_a.components["2/3"].leading()[0] == qq(2, 3)
     # tuple B: the 4/3 component has no q^(1/3) term
     assert case_b.coeff("4/3", qq(1, 3)).is_zero()
-    assert case_b.component("4/3").leading()[0] == qq(4, 3)
-    assert case_a.check_translation_law(build_standard("L_dm"))
-    assert case_b.check_translation_law(build_standard("L_dm"))
+    assert case_b.components["4/3"].leading()[0] == qq(4, 3)
+    assert translation_law_holds(case_a, build_standard("L_dm"))
+    assert translation_law_holds(case_b, build_standard("L_dm"))
 
 
 @pytest.mark.parametrize("prec", [0, -1])
@@ -325,7 +326,7 @@ def test_obstruction_tuples_satisfy_s_law_numerically():
     case_a, case_b = obstruction_cusp_basis(10)
     smat = [[to_complex(x) for x in row] for row in sym.mat_s]
     for form in (eis, case_a, case_b):
-        values = [_series_value(form.component(lbl), tau) for lbl in sym.labels]
+        values = [_series_value(form.components[lbl], tau) for lbl in sym.labels]
         scale = max(max(abs(v) for v in values), 1e-9)
         for i in range(4):
             transformed = (tau**10) * sum(

@@ -21,6 +21,12 @@ from moduliq.scalars import OMEGA, CycNum
 from series_oracle import as_dict, grid, well_formed
 
 
+def agree(a, b):
+    """The coefficients of a and b agree below both truncations."""
+    t = min(a.trunc, b.trunc)
+    return a.truncate(t) == b.truncate(t)
+
+
 def conv(a, b, n):
     out = [0] * (n + 1)
     for i, x in enumerate(a[: n + 1]):
@@ -117,7 +123,7 @@ def test_pow():
     base = QSeries.make(1, {0: 1, 1: 1}, 6)
     assert base.pow(3).coeff(2).rational() == 3
     assert base.pow(0).coeff(0).rational() == 1
-    assert base.pow(-1).agrees_with(base.invert())
+    assert agree(base.pow(-1), base.invert())
 
 
 @st.composite
@@ -139,11 +145,11 @@ def test_pow_matches_repeated_products(a, m):
     else:
         factor = a if m > 0 else a.invert()
         expected = functools.reduce(operator.mul, [factor] * abs(m))
-        assert p.agrees_with(expected)
+        assert agree(p, expected)
         assert p.trunc == expected.trunc == a.trunc + (m - 1) * a.leading_exponent()
     product = p * a.pow(-m)
     assert product.trunc == a.trunc
-    assert product.agrees_with(QSeries.one(a.trunc))
+    assert agree(product, QSeries.one(a.trunc))
 
 
 _RATIONAL = st.builds(qq, st.integers(-6, 6), st.integers(1, 6))
@@ -260,9 +266,9 @@ def test_pow_keeps_relative_precision():
     inv = inverse_delta(5)
     square = inv.pow(2)
     assert square.trunc == 4
-    assert square.agrees_with(inv * inv)
+    assert agree(square, inv * inv)
     assert (inv * inv).trunc == 4
-    assert inv.pow(-1).agrees_with(delta_series(7))
+    assert agree(inv.pow(-1), delta_series(7))
     assert inv.pow(-1).trunc == 7
 
 
@@ -289,7 +295,7 @@ def test_equal_values_have_equal_fields_and_hashes():
 
 def test_eta_power_product_identity():
     lhs = eta_power(8, 5) * eta_power(16, 5)
-    assert lhs.agrees_with(delta_series(5))
+    assert agree(lhs, delta_series(5))
 
 
 def test_truncation_guard():
@@ -319,10 +325,10 @@ def test_ring_laws_on_100_random_triples():
         a = _random_series(rng)
         b = _random_series(rng)
         c = _random_series(rng)
-        assert ((a + b) + c).agrees_with(a + (b + c))
-        assert (a * (b + c)).agrees_with(a * b + a * c)
-        assert ((a * b) * c).agrees_with(a * (b * c))
-        assert (a * b).agrees_with(b * a)
+        assert agree((a + b) + c, a + (b + c))
+        assert agree(a * (b + c), a * b + a * c)
+        assert agree((a * b) * c, a * (b * c))
+        assert agree(a * b, b * a)
 
 
 def test_inversion_on_100_random_series():
@@ -331,8 +337,8 @@ def test_inversion_on_100_random_series():
         a = _random_series(rng, invertible=True)
         inv = a.invert()
         one = QSeries.one(qq(10))
-        assert (a * inv).agrees_with(one)
-        assert (inv * a).agrees_with(one)
+        assert agree(a * inv, one)
+        assert agree(inv * a, one)
 
 
 def test_rendering():
