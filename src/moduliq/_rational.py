@@ -157,12 +157,22 @@ def padic_valuation(x, p: int):
     return v
 
 
+def _rebuild(cls, values):
+    """The record of class cls with these field values, set as
+    ``Frozen.__init__`` sets them, whatever cls's own constructor takes."""
+    record = object.__new__(cls)
+    Frozen.__init__(record, *values)
+    return record
+
+
 class Frozen:
     """An immutable value record.  A subclass names its fields in ``_fields``
     and ``__slots__``; the fields are set once, by ``Frozen.__init__`` in
     field order.  ``==`` and ``hash`` read the class and the field values, so
     a record never equals a bare tuple, and assigning an attribute raises
-    AttributeError."""
+    AttributeError.  ``copy``, ``deepcopy`` and ``pickle`` rebuild a record
+    from its field values alone, so a slot that is not a field (a cache) is
+    left unset in the copy."""
 
     __slots__ = ()
     _fields = ()
@@ -183,6 +193,9 @@ class Frozen:
 
     def __hash__(self):
         return hash(self._values())
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")

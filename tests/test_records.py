@@ -1,9 +1,12 @@
 """Value semantics of the records that are hashed or used as cache keys.
 
 Each record is immutable, two records of equal value compare equal and hash
-alike, a record never equals the bare tuple of its fields, and its printed
-form is fixed.
+alike, a record never equals the bare tuple of its fields, its printed form
+is fixed, and ``copy``, ``deepcopy`` and ``pickle`` give back an equal record.
 """
+
+import copy
+import pickle
 
 import pytest
 
@@ -101,6 +104,21 @@ def test_str_is_unchanged(name):
     first, _second, _fields, text = CASES[name]
     assert str(first()) == text
 
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))], ids=["copy", "deepcopy", "pickle"]
+)
+@pytest.mark.parametrize("name", CASES)
+def test_a_record_copies_and_pickles_to_an_equal_record(name, clone):
+    first, _second, fields, text = CASES[name]
+    a = first()
+    b = clone(a)
+    assert type(b) is type(a) and b == a and hash(b) == hash(a)
+    assert [getattr(b, f) for f in fields] == [getattr(a, f) for f in fields]
+    assert str(b) == text
+    with pytest.raises(AttributeError):
+        setattr(b, fields[0], None)
 
 def test_an_unequal_value_is_unequal():
     assert build_standard("A2") != build_standard("A2(-1)")
