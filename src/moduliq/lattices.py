@@ -47,7 +47,8 @@ class Lattice(Frozen):
     for the least s = ``gram_scale`` > 0 with s G integral, and ``int_gram``
     is a tuple of tuples of Python ints.  Every kernel, ``==`` and ``hash``
     read these ints (and the name).  ``Lattice(gram, name)`` scans a
-    rational Gram once for them; the builders hand over ints directly.
+    rational Gram once for them, and refuses one that is not square or not
+    symmetric; the builders hand over ints directly.
     ``gram``, a tuple of tuples of rationals, is built on its first read.
     """
 
@@ -55,10 +56,17 @@ class Lattice(Frozen):
     __slots__ = _fields + ("_gram",)
 
     def __init__(self, gram: tuple, name: str = ""):
+        n = len(gram)
+        short = next((len(row) for row in gram if len(row) != n), None)
+        if short is not None:
+            raise ValueError(f"Gram matrix is not square: a row has {short} entries, not {n}")
         s = math.lcm(*[x.denominator for row in gram for x in row])
         # the usual, integral case reads the numerators alone
         scaled = num if s == 1 else (lambda x: num(x) * (s // den(x)))
-        self._set([tuple(map(scaled, row)) for row in gram], s, name)
+        rows = [tuple(map(scaled, row)) for row in gram]
+        if rows != list(zip(*rows)):
+            raise ValueError("Gram matrix is not symmetric")
+        self._set(rows, s, name)
 
     def _set(self, rows, scale: int, name: str) -> "Lattice":
         # the one constructor path: dividing out gcd(scale, rows) makes the scale least

@@ -120,6 +120,21 @@ def test_discriminant_group_refuses_degenerate_and_non_integral_grams():
         discriminant_group(build_standard("A2(1/2)"))
 
 
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # taken as given, these had the theta series 1 + 4q + 4q^2 and rank 1
+        (((-2, 1), (0, -2)), "^Gram matrix is not symmetric$"),
+        (((1, 2),), "^Gram matrix is not square: a row has 2 entries, not 1$"),
+        (((qq(1, 2), qq(1, 3)), (qq(1, 2), 1)), "^Gram matrix is not symmetric$"),
+        (((-2, 1, 0), (1, -2, 0)), "^Gram matrix is not square: a row has 3 entries, not 2$"),
+    ],
+)
+def test_lattice_refuses_a_gram_that_is_not_square_and_symmetric(rows, message):
+    with pytest.raises(ValueError, match=message):
+        Lattice(tuple(tuple(qq(x) for x in row) for row in rows))
+
 def test_discriminant_lifts_are_reduced_generators():
     for name in ("A1", "A2", "E6", "A2+A1", "A2+A2", "E6+A2", "L_dm"):
         lat = build_standard(name)
