@@ -161,7 +161,7 @@ _BASE = {
 def _parse_token(token: str) -> Lattice:
     token = token.strip()
     if token.endswith(")") and "(" in token:
-        base, _, scale = token[:-1].partition("(")
+        base, _, scale = token[:-1].rpartition("(")
         try:
             n = qq(scale)
         except ZeroDivisionError:
@@ -173,10 +173,13 @@ def _parse_token(token: str) -> Lattice:
 
 
 def build_standard(name: str) -> Lattice:
-    """Construct a named lattice; '+' forms direct sums, 'X(n)' rescales.
+    """Construct a named lattice; '+' forms direct sums of summands.
 
-    Recognized atoms: U, U(n), A1, A2, E6, E8, 0, and the aliases
-    II_2_18 = U+U+E8+E8, II_2_26 = U+U+E8+E8+E8, L_dm = U+U(3)+E8+E8.
+    A summand is an atom U, A1, A2, E6, E8 or 0, followed by any number of
+    rescales (n), each by a rational n such as 3, -1 or 1/2; they
+    apply left to right, so A2(3)(2) is A2(6) under the name A2(3)(2).  The
+    whole name may instead be one of the aliases II_2_18 = U+U+E8+E8,
+    II_2_26 = U+U+E8+E8+E8 and L_dm = U+U(3)+E8+E8.
     """
     aliases = {
         "II_2_18": "U+U+E8+E8",

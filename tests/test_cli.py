@@ -155,6 +155,26 @@ def test_lattice_name_needs_every_summand(capsys):
         assert line == f"error: argument {argv[1]}: empty summand in {argv[2]!r}", line
 
 
+
+def test_lattice_name_refuses_an_unknown_atom(capsys):
+    # 'A2((3)' used to fail with the Fraction parser's "Invalid literal" message
+    for argv, atom in (
+        (["lattice", "--name", "A2((3)"], "A2("),
+        (["theta", "--lattice", "E7+A2", "--prec", "2"], "E7"),
+    ):
+        line = _usage_error(capsys, argv)
+        assert line == f"error: argument {argv[1]}: unknown lattice name {atom!r}", line
+
+
+def test_lattice_name_rescales_left_to_right(capsys):
+    # a summand splits at its last '(': A2(3)(2) is A2(6) under its own name;
+    # it used to fail with "Invalid literal for Fraction: '3)(2'"
+    nested, code, _ = _capture(capsys, ["lattice", "--name", "A2(3)(2)", "--json"])
+    once, _, _ = _capture(capsys, ["lattice", "--name", "A2(6)", "--json"])
+    assert code == 0
+    assert nested.inputs == {"name": "A2(3)(2)"}
+    assert nested.outputs == once.outputs
+
 def test_theta_needs_an_even_lattice(capsys):
     # A1(1/2) is odd: its theta series 1 + 2q^(1/2) + ... is off the grid
     # -q/2 + Z; --prec 1 used to print '1' and --prec 2 'error: 1/2 is not an integer'
