@@ -124,7 +124,7 @@ def test_discriminant_group_refuses_degenerate_and_non_integral_grams():
 @pytest.mark.parametrize(
     "rows, message",
     [
-        # taken as given, these had the theta series 1 + 4q + 4q^2 and rank 1
+        # the first two used to be taken: theta series 1 + 4q + 4q^2, and rank 1
         (((-2, 1), (0, -2)), "^Gram matrix is not symmetric$"),
         (((1, 2),), "^Gram matrix is not square: a row has 2 entries, not 1$"),
         (((qq(1, 2), qq(1, 3)), (qq(1, 2), 1)), "^Gram matrix is not symmetric$"),
