@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 
 from ._rational import Frozen
-from .lattices import Lattice, _lattice
+from .lattices import Lattice, _check_square, _lattice
 from .scalars import CYC_ONE, CYC_ZERO, OMEGA, SQRT_M3, CycNum, cyc
 
 __all__ = [
@@ -25,17 +25,22 @@ __all__ = [
 
 
 class HermLattice(Frozen):
-    _fields = __slots__ = ("gram",)  # CycNum entries, equal to its own conjugate transpose
+    """A Hermitian Z[w]-lattice, stored as its Gram of ``CycNum`` entries.
+    ``HermLattice(gram)`` refuses a Gram that is not square or that is not
+    its own conjugate transpose."""
+
+    _fields = __slots__ = ("gram",)
+
+    def __init__(self, gram: tuple):
+        _check_square(gram)
+        n = len(gram)
+        if any(gram[i][j] != gram[j][i].conj() for i in range(n) for j in range(i, n)):
+            raise ValueError("Gram matrix is not Hermitian")
+        super().__init__(gram)
 
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    def is_hermitian(self) -> bool:
-        n = self.rank
-        return all(
-            self.gram[i][j] == self.gram[j][i].conj() for i in range(n) for j in range(n)
-        )
 
     def signature(self):
         """Hermitian signature, from the exact inertia of the trace form."""
@@ -111,9 +116,7 @@ def eisenstein_hermitian_lattice() -> HermLattice:
         for i in range(4):
             for j in range(4):
                 rows[off + i][off + j] = block4[i][j]
-    lat = HermLattice(tuple(tuple(row) for row in rows))
-    assert lat.is_hermitian()
-    return lat
+    return HermLattice(tuple(tuple(row) for row in rows))
 
 
 def trace_lattice(h: HermLattice) -> Lattice:

@@ -65,12 +65,6 @@ class PoincarePoly(Frozen):
         ]
         return PoincarePoly.make(coeffs, trunc)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PoincarePoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __str__(self):
         if not self.coeffs:
             return "0"

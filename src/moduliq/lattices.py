@@ -42,6 +42,13 @@ PAIRING_LIMIT = 243  # |A_M| for pairing_census, which makes |A_M|^2 pairings
 WALK_LIMIT = 200_000  # leaves of one shortvec walk, counted per level-1 range; about 0.3 s
 
 
+def _check_square(gram):
+    n = len(gram)
+    short = next((len(row) for row in gram if len(row) != n), None)
+    if short is not None:
+        raise ValueError(f"Gram matrix is not square: a row has {short} entries, not {n}")
+
+
 class Lattice(Frozen):
     """A lattice stored as its int Gram: the Gram matrix G is int_gram / s
     for the least s = ``gram_scale`` > 0 with s G integral, and ``int_gram``
@@ -56,10 +63,7 @@ class Lattice(Frozen):
     __slots__ = _fields + ("_gram",)
 
     def __init__(self, gram: tuple, name: str = ""):
-        n = len(gram)
-        short = next((len(row) for row in gram if len(row) != n), None)
-        if short is not None:
-            raise ValueError(f"Gram matrix is not square: a row has {short} entries, not {n}")
+        _check_square(gram)
         s = math.lcm(*[x.denominator for row in gram for x in row])
         # the usual, integral case reads the numerators alone
         scaled = num if s == 1 else (lambda x: num(x) * (s // den(x)))

@@ -3,11 +3,9 @@
 The versal sextic discriminant is an 11x11 Sylvester resultant with
 monomial entries, expanded by a memoized banded Laplace recursion over
 integer multivariate polynomials.  The degree-12 restriction is only ever
-evaluated along one-parameter lines t, where every Sylvester entry is
-c0 + c1 t: substituting t = 2^B (Kronecker) turns the determinant into one
-fraction-free Bareiss elimination over Z (``_rational.det_bareiss``, the
-package's one int determinant), whose value is read back as the balanced
-base-2^B digits of det(t).
+evaluated along one-parameter lines t: det(t) is interpolated on ints from
+its values at t = 0..22, each an int Bareiss determinant
+(``_rational.det_bareiss``).
 """
 
 import math
@@ -254,33 +252,32 @@ def _slice_det(coeff_ints):
     Sylvester matrix of d/dx0 and d/dx1 of
     x0^6 x1^6 + t * sum_i coeff_ints[i] * (slice monomial i).
 
-    Each entry is c0 + c1 t.  In absolute value every coefficient of det(t)
-    is at most the product over the rows of their sums of |c0| + |c1|, so
-    with 2^(B-1) above that bound the balanced base-2^B digits of det(2^B)
-    are the coefficients.
+    The 22 rows are linear in t, so deg det <= 22: Newton's forward
+    differences of det(0..22), exact on ints, then Horner in that basis.
     """
-    forms = {(6, 6): (1, 0)}
-    forms.update((m, (0, c)) for m, c in zip(SLICE_MONOMIALS, coeff_ints))
-    # partial derivatives as degree-11 binary forms; coefficients on
-    # x0^k x1^(11-k) for k = 11..0
-    d0 = [(0, 0)] * 12
-    d1 = [(0, 0)] * 12
-    for (aexp, bexp), (c0, c1) in forms.items():
-        if aexp:
-            d0[12 - aexp] = (aexp * c0, aexp * c1)
-        if bexp:
-            d1[11 - aexp] = (bexp * c0, bexp * c1)
-    rows = _sylvester(d0, d1, (0, 0))
-    bound = math.prod(sum(abs(c0) + abs(c1) for c0, c1 in row) for row in rows)
-    bits = bound.bit_length() + 1
-    det = det_bareiss([[c0 + (c1 << bits) for c0, c1 in row] for row in rows])
+    values = []
+    for t in range(23):
+        # partial derivatives as degree-11 binary forms; coefficients on
+        # x0^k x1^(11-k) for k = 11..0
+        d0, d1 = [0] * 12, [0] * 12
+        forms = [((6, 6), 1), *zip(SLICE_MONOMIALS, (t * c for c in coeff_ints))]
+        for (aexp, bexp), c in forms:
+            if aexp:
+                d0[12 - aexp] = aexp * c
+            if bexp:
+                d1[11 - aexp] = bexp * c
+        values.append(det_bareiss(_sylvester(d0, d1, 0)))
+    # values[k] becomes the k-th difference over k!, the int coefficient of
+    # t(t-1)...(t-k+1)
+    for k in range(1, 23):
+        for i in range(22, k - 1, -1):
+            values[i] = (values[i] - values[i - 1]) // k
     coeffs = []
-    while det:
-        digit = det & ((1 << bits) - 1)
-        if digit >> (bits - 1):
-            digit -= 1 << bits
-        coeffs.append(digit)
-        det = (det - digit) >> bits
+    for k in range(22, -1, -1):
+        # coeffs * (t - k) + values[k]
+        coeffs = [x - k * y for x, y in zip([values[k], *coeffs], [*coeffs, 0])]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
     return coeffs
 
 

@@ -16,9 +16,22 @@ from moduliq.scalars import CYC_ONE, CYC_ZERO, OMEGA, SQRT_M3, cyc
 def test_gram_is_hermitian_and_scaled_integral():
     lat = eisenstein_hermitian_lattice()
     assert lat.rank == 10
-    assert lat.is_hermitian()
     # every entry lies in (1/(1+2w)) Z[w]
     assert all((x * SQRT_M3).is_integral() for row in lat.gram for x in row)
+
+
+@pytest.mark.parametrize(
+    "gram, message",
+    [
+        # the first used to be taken: a non-symmetric trace form, signature (2, 0)
+        (((cyc(2), OMEGA), (CYC_ZERO, cyc(2))), "^Gram matrix is not Hermitian$"),
+        (((CYC_ONE, OMEGA),), "^Gram matrix is not square: a row has 2 entries, not 1$"),
+        (((OMEGA,),), "^Gram matrix is not Hermitian$"),
+    ],
+)
+def test_herm_lattice_refuses_a_gram_that_is_not_square_and_hermitian(gram, message):
+    with pytest.raises(ValueError, match=message):
+        HermLattice(gram)
 
 
 def test_signature_1_9():

@@ -96,12 +96,16 @@ def _check_against_reference(report):
         assert (report["order"], report["degree"]) == (order, len(det) - 1)
 
 
+# entries near 10^20, of both signs: det(t) has coefficients of up to 462 digits
+LARGE = tuple((-1) ** i * (10**20 + 7 * i + 1) for i in range(10))
+
+
 def test_disc12_named_directions_match_the_reference():
     for report in (
         disc12_vanishing_order(),
         disc12_vanishing_order(seed=1),
         disc12_vanishing_order(seed=77),
-        *(disc12_vanishing_order(direction=d) for d in (ONLY_EPS, BOTH_EPS, HALF)),
+        *(disc12_vanishing_order(direction=d) for d in (ONLY_EPS, BOTH_EPS, HALF, LARGE)),
     ):
         _check_against_reference(report)
 

@@ -125,6 +125,7 @@ def test_an_unequal_value_is_unequal():
     assert build_standard("A2") != Lattice(build_standard("A2").gram)  # the name counts
     assert Lin(qq(1)) != Lin(qq(1), qq(1))
     assert BettiTable((1, 0, 1)) != BettiTable((1, 0, 2))
+    assert PoincarePoly.make([1, 0, 1], 4) != PoincarePoly.make([1, 0, 1])  # the truncation counts
 
 
 def test_a_lattice_is_one_cache_key():

@@ -8,6 +8,7 @@ module-level functions, which are the library's API.  The scan matches
 names, not classes, so two methods of one name count as one."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "moduliq"
@@ -36,23 +37,30 @@ def helpers(tree):
     return found
 
 
+def reads(node):
+    """How often each name is read under node: ("attr", x) counts x.attr and
+    ("name", x) a bare x."""
+    return Counter(
+        ("attr", n.attr) if isinstance(n, ast.Attribute) else ("name", n.id)
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Attribute, ast.Name))
+    )
+
+
 def uncalled(sources):
     """Qualified names, sorted, of the helpers of the module sources that no
-    code outside their own body reads."""
+    code outside their own body reads: one count over every tree, less the
+    reads inside each helper."""
     trees = [ast.parse(source) for source in sources]
+    total = Counter()
+    for tree in trees:
+        total.update(reads(tree))
     out = []
     for tree in trees:
         for qualname, node in helpers(tree):
-            inside = {id(n) for n in ast.walk(node)}
-            method = "." in qualname
-            read = any(
-                (isinstance(n, ast.Attribute) and n.attr == node.name)
-                or (not method and isinstance(n, ast.Name) and n.id == node.name)
-                for t in trees
-                for n in ast.walk(t)
-                if id(n) not in inside
-            )
-            if not read:
+            inside = reads(node)
+            keys = [("attr", node.name)] if "." in qualname else [("attr", node.name), ("name", node.name)]
+            if all(total[key] == inside[key] for key in keys):
                 out.append(qualname)
     return sorted(out)
 
