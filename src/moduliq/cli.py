@@ -268,7 +268,7 @@ COMMANDS = (
         args=(
             _arg("--weight", type=int, required=True, choices=(2, 6, 10)),
             _arg("--label", _label, required=True, help="a1,a2 in Z/3 x Z/3"),
-            _prec("2"),
+            _prec("2", _positive),
         ),
         fn=lambda a: (
             _echo(a, "weight", "label", "prec"),

@@ -18,6 +18,7 @@ type-classes of the discriminant group and are returned as exact q-series.
 import math
 from collections import namedtuple
 from functools import lru_cache
+from itertools import cycle
 from operator import mul
 
 from . import _linalg
@@ -240,10 +241,11 @@ def eisenstein_level3(k: int, label, prec) -> QSeries:
 
     The series is the lattice sum over (m, n) = (a1, a2) mod 3 of
     (m tau + n)^(-k), divided by c_k = (-2 pi i)^k / (3^k (k-1)!); for
-    k = 2 only the holomorphic part is produced.  Coefficient of q^(n/3):
-       sum over d | n of d^(k-1) [ w^(a2 d) [n/d = a1]
-                                   + (-1)^k w^(-a2 d) [n/d = -a1] ]
-    and the constant term for a1 = 0 is -B_k (3^k - 1) / (2k).
+    k = 2 only the holomorphic part is produced.  With sigma = sigma_(k-1)
+    (Diamond-Shurman, GTM 228, 4.8), the coefficient of q^(n/3) is
+    w^(a1 a2 n) (sigma(n) - [3 | n] sigma(n/3)) for a1 != 0; for a1 = 0 that
+    of q^m, m > 0, is 3^k [3 | m] sigma(m/3) - sigma(m), and that of q^0 is
+    -B_k (3^k - 1) / (2k).
     """
     if k not in (2, 6, 10):
         raise ValueError("supported weights: 2, 6, 10")
@@ -253,32 +255,29 @@ def eisenstein_level3(k: int, label, prec) -> QSeries:
     if (a1, a2) == (0, 0):
         raise ValueError("label (0,0) is not supported")
     prec = qq(prec)
-    # divisor sieve on int pairs x + y w over d, the denominator of the
-    # constant term: each dd adds d dd^(k-1) w^(+-a2 dd) to the n = dd * quot
-    # with quot = +-a1 mod 3, stepping 3dd through them; (-1)^k = 1 for even
-    # k.  For a1 = 0 both land on n = 3dd, 6dd, ..., so their sum is added once.
     size = check_terms(cutoff(prec, 3))
-    pairs = [(w.x, w.y) for w in OMEGA_POWERS]  # w^0, w^1, w^2 with w.d = 1
-    d, re, im = 1, [0] * size, [0] * size
+    d, terms = 1, []
     if a1 == 0 and size > 0:
         c0 = -bernoulli(k) * (3**k - 1) / (2 * k)
-        d, re[0] = den(c0), num(c0)
-    for dd in range(1, size if a1 else -(-size // 3)):
-        power, step = d * dd ** (k - 1), 3 * dd
-        x, y = pairs[a2 * dd % 3]
-        u, v = pairs[-a2 * dd % 3]
-        if a1 == 0:
-            x, y = x + u, y + v
-        x, y = power * x, power * y
-        for n in range(dd * (a1 or 3), size, step):
-            re[n] += x
-            im[n] += y
-        if a1:
-            u, v = power * u, power * v
-            for n in range(dd * (3 - a1), size, step):
-                re[n] += u
-                im[n] += v
-    return QSeries(3, d, tuple((n, re[n], im[n]) for n in range(size) if re[n] or im[n]), prec)
+        d, terms = den(c0), [(0, num(c0), 0)]
+    # d sigma(n) on ints, up to the last key: n for a1 != 0, m for a1 = 0
+    top = size if a1 else -(-size // 3)
+    powers = [d * e ** (k - 1) for e in range(top)]
+    sigma = powers[:]
+    for e in range(1, top // 2 + 1):
+        power = powers[e]
+        for n in range(2 * e, top, e):
+            sigma[n] += power
+    # minus lift * sigma(n/3), downwards: each sigma(n/3) is read unchanged
+    lift = 3**k if a1 == 0 else 1
+    for n in range(3 * ((top - 1) // 3), 0, -3):
+        sigma[n] -= lift * sigma[n // 3]
+    if a1 == 0:
+        terms += [(m, -sigma[m], 0) for m in range(1, top)]
+    else:
+        roots = cycle([(w.x, w.y) for w in (OMEGA_POWERS[a1 * a2 * n % 3] for n in (1, 2, 3))])
+        terms = [(n, c * x, c * y) for n, c, (x, y) in zip(range(1, top), sigma[1:], roots)]
+    return QSeries(3 if a1 else 1, d, tuple(terms), prec)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,13 @@ def test_theta_prec_must_be_positive(capsys):
         assert "precision" in _usage_error(capsys, ["theta", "--lattice", "E6", "--prec", prec])
 
 
+def test_eisenstein_prec_must_be_positive(capsys):
+    # --prec 0 used to exit 0 with 'series: 0', a false statement about a nonzero form
+    for prec in ("0", "-1"):
+        line = _usage_error(capsys, ["eisenstein", "--weight", "10", "--label", "0,1", "--prec", prec])
+        assert line == f"error: argument --prec: precision must be positive, got {prec}"
+
+
 def test_prec_is_echoed_as_given(capsys):
     result, code, _ = _capture(capsys, ["theta", "--lattice", "A2", "--prec", "3/2"])
     assert code == 0

@@ -235,9 +235,11 @@ def test_eisenstein_level3_expansions():
 
 @pytest.mark.parametrize("k", (2, 6, 10))
 def test_eisenstein_level3_against_trial_division(k):
+    # (4, -2) and (-1, 5) are read mod 3; prec 28 reaches n = 81 = 3^4, whose
+    # correction sigma(27) is read at a key that carries a correction itself
     labels = [(a1, a2) for a1 in range(3) for a2 in range(3) if (a1, a2) != (0, 0)]
-    for label in labels:
-        for prec in (-2, 0, qq(1, 6), qq(1, 3), qq(2, 3), qq(7, 2), 20):
+    for label in (*labels, (4, -2), (-1, 5)):
+        for prec in (-2, 0, qq(1, 6), qq(1, 3), qq(2, 3), qq(7, 2), 20, 28):
             series = eisenstein_level3(k, label, prec)
             oracle = series_oracle.eisenstein_level3(k, label, prec)
             assert series_oracle.as_dict(series) == oracle, (k, label, prec)
