@@ -229,7 +229,7 @@ def test_theta_prec_must_be_positive(capsys):
 
 
 def test_eisenstein_prec_must_be_positive(capsys):
-    # --prec 0 used to exit 0 with 'series: 0', a false statement about a nonzero form
+    # an empty series would be a false statement about a nonzero form
     for prec in ("0", "-1"):
         line = _usage_error(capsys, ["eisenstein", "--weight", "10", "--label", "0,1", "--prec", prec])
         assert line == f"error: argument --prec: precision must be positive, got {prec}"
